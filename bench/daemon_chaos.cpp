@@ -14,7 +14,7 @@
 //     process a few steps after the n-th snapshot (no destructors — a real
 //     crash). A --resume run restores from the snapshot and must emit a
 //     byte-identical alert dump (--alerts-out) to an uninterrupted run;
-//     scripts/daemon_chaos_smoke.sh drives exactly that comparison.
+//     the daemon/* rows of scripts/contracts.py drive that comparison.
 //
 // Flags:
 //   --rate <r>          fault intensity (default 0; 0 enables the batch
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   const std::int64_t window_s = options.days * netbase::duration::kDay;
 
   // SIGKILL after the n-th snapshot plus a few steps of un-snapshotted
-  // work — the crash the smoke script recovers from. Fail closed on a
+  // work — the crash the contract runner recovers from. Fail closed on a
   // malformed value: a typo'd hook silently parsing to 0 would turn the
   // chaos leg into a no-op that still reports success.
   std::int64_t kill_after = 0;

@@ -30,7 +30,7 @@ using namespace quicksand;
 /// Runs the churn analysis on the streaming data plane over records that
 /// already index `table`. Results are identical to the materialized
 /// AnalyzeChurn (the adapter IS the stream; see docs/ARCHITECTURE.md) —
-/// the --feed-batch smoke in CI holds both planes to that.
+/// the fig3/batch_* rows of scripts/contracts.py hold both planes to that.
 bgp::ChurnAnalyzer Analyze(const std::shared_ptr<bgp::feed::AsPathTable>& table,
                            const std::vector<bgp::BgpUpdate>& initial_rib,
                            const std::vector<bgp::feed::UpdateRec>& updates,

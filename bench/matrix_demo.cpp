@@ -27,7 +27,7 @@
 // lets the matrix merge assert byte-identical output across runner
 // crash/resume and parallelism.
 //
-// Chaos hooks for scripts/matrix_smoke.sh (all env-gated, all off by
+// Chaos hooks for scripts/contracts.py (all env-gated, all off by
 // default; values compare against --seed so a config axis selects the
 // victim cells):
 //   QUICKSAND_MATRIX_DEMO_ABORT_SEED  _Exit(42) mid-pipeline, every time

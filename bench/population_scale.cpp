@@ -9,7 +9,7 @@
 // top of the scalar trajectory. The sweep is sharded through
 // ckpt::CheckpointedMap, so it is resumable mid-population and its
 // outputs are byte-identical at every --threads value, shard split, and
-// kill+resume point (scripts/population_smoke.sh).
+// kill+resume point (population/* in scripts/contracts.py).
 //
 // Axis flags (consumed before the shared BenchContext flags):
 //

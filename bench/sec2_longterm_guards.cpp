@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   // tor::population engine. The point estimates above are unchanged; this
   // stage adds the per-client-AS distribution behind them. Placed after
   // the policy sweep so its checkpoint stage does not disturb the sweep's
-  // kill/resume abort points (scripts/resume_smoke.sh).
+  // kill/resume abort points (resume/* in scripts/contracts.py).
   core::PopulationExposureParams pop_params;
   pop_params.clients = 20000;
   pop_params.days = 360;

@@ -17,18 +17,12 @@ histograms, and comparison rows.
 Comparison ignores everything that is allowed to vary between runs of
 the same seed: per-phase wall times, total_wall_ms, the top-level
 "threads" field, any histogram whose name ends in "_ms" (the reserved
-wall-clock namespace), and any metric whose name starts with "exec.",
-"ckpt.", "feed.", "span.", "prof.", "qmrt.", "daemon.", or "xmat."
-(the reserved namespaces:
-thread-pool and cache counters legitimately depend on thread count and
-scheduling, checkpoint telemetry depends on where a run was killed,
-streaming-feed telemetry — batch counts, peak resident updates, intern
-hit rates — depends on the chosen batch size, which is a tuning knob,
-not an output, and span/profiler telemetry is wall-clock- and
-sampler-cadence-shaped by construction; see docs/OBSERVABILITY.md,
-docs/ROBUSTNESS.md, and docs/ARCHITECTURE.md). Everything else,
-including every counter, gauge, non-timing histogram, comparison row,
-and result value, must match exactly.
+wall-clock namespace), and any metric in a reserved namespace — one of
+RESERVED_PREFIXES below; scheduling_dependent() says why each may vary
+(see also docs/OBSERVABILITY.md, docs/ROBUSTNESS.md, and
+docs/ARCHITECTURE.md). Everything else, including every counter, gauge,
+non-timing histogram, comparison row, and result value, must match
+exactly.
 
 --profile runs add two optional sections, both validated when present:
 "spans" (per-span-name aggregates; wall times, excluded from the
@@ -68,6 +62,11 @@ REQUIRED = {
     "comparisons": list,
     "results": dict,
 }
+
+
+# The reserved metric namespaces, exempt from every comparison.
+RESERVED_PREFIXES = ("exec.", "ckpt.", "feed.", "span.", "prof.", "qmrt.",
+                     "daemon.", "xmat.", "pop.")
 
 
 class CheckError(Exception):
@@ -183,11 +182,10 @@ def validate(doc, origin):
 
 
 def scheduling_dependent(name):
-    """True for metrics in the reserved "exec.", "ckpt.", "feed.",
-    "span.", "prof.", "qmrt.", "daemon.", "xmat.", and "pop." namespaces, whose values may
-    vary with thread count, scheduling, where in a sweep a run was killed,
-    the streaming batch size, the selected wire format, or the resource
-    sampler's cadence (pool telemetry, cache hits, snapshot sizes and
+    """True for metrics in a reserved namespace (RESERVED_PREFIXES), whose
+    values may vary with thread count, scheduling, where in a sweep a run
+    was killed, the streaming batch size, the selected wire format, or the
+    resource sampler's cadence (pool telemetry, cache hits, snapshot sizes and
     resume bookkeeping, feed batch counts and residency gauges, span wall
     times, RSS samples, binary codec block/byte volumes). "daemon." covers
     the resident monitor's supervision/ingest/query counters: a killed-
@@ -203,11 +201,7 @@ def scheduling_dependent(name):
     lazily rebuilds alias tables per process, so these tallies vary with
     where a run was killed while the population results themselves stay
     byte-identical."""
-    return (name.startswith("exec.") or name.startswith("ckpt.")
-            or name.startswith("feed.") or name.startswith("span.")
-            or name.startswith("prof.") or name.startswith("qmrt.")
-            or name.startswith("daemon.") or name.startswith("xmat.")
-            or name.startswith("pop."))
+    return name.startswith(RESERVED_PREFIXES)
 
 
 def deterministic_view(doc):
@@ -279,6 +273,26 @@ def load(path):
         raise CheckError(f"{path}: {exc}") from exc
 
 
+def compare(a_path, b_path, resume=False):
+    """Raise CheckError unless the two documents validate and agree on
+    every deterministic field; with resume, also unless B really resumed
+    from a snapshot (a positive ckpt.resume.shards_loaded counter)."""
+    a, b = load(a_path), load(b_path)
+    validate(a, a_path)
+    validate(b, b_path)
+    if resume:
+        loaded = b["counters"].get("ckpt.resume.shards_loaded", 0)
+        if not isinstance(loaded, int) or loaded <= 0:
+            fail(f"{b_path} did not resume from a snapshot "
+                 f"(ckpt.resume.shards_loaded={loaded!r}); a rejected "
+                 "snapshot falls back to a fresh run, which would make "
+                 "this comparison vacuous")
+    differences = list(diff(deterministic_view(a), deterministic_view(b)))
+    if differences:
+        fail("\n  ".join([f"NONDETERMINISTIC: {a_path} vs {b_path}"]
+                         + differences[:50]))
+
+
 def main(argv):
     if len(argv) >= 1 and argv[0] in ("--compare", "--compare-resume"):
         mode = argv[0]
@@ -286,27 +300,10 @@ def main(argv):
             print(f"usage: check_bench_json.py {mode} A.json B.json",
                   file=sys.stderr)
             return 2
-        a_path, b_path = argv[1], argv[2]
-        a, b = load(a_path), load(b_path)
-        validate(a, a_path)
-        validate(b, b_path)
-        if mode == "--compare-resume":
-            loaded = b["counters"].get("ckpt.resume.shards_loaded", 0)
-            if not isinstance(loaded, int) or loaded <= 0:
-                print(f"FAIL: {b_path} did not resume from a snapshot "
-                      f"(ckpt.resume.shards_loaded={loaded!r}); a rejected "
-                      "snapshot falls back to a fresh run, which would make "
-                      "this comparison vacuous", file=sys.stderr)
-                return 1
-        differences = list(diff(deterministic_view(a), deterministic_view(b)))
-        if differences:
-            print(f"NONDETERMINISTIC: {a_path} vs {b_path}", file=sys.stderr)
-            for line in differences[:50]:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        suffix = (" (resumed run replayed checkpointed work)"
-                  if mode == "--compare-resume" else "")
-        print(f"OK: {a_path} and {b_path} agree on all deterministic fields"
+        resume = mode == "--compare-resume"
+        compare(argv[1], argv[2], resume)
+        suffix = " (resumed run replayed checkpointed work)" if resume else ""
+        print(f"OK: {argv[1]} and {argv[2]} agree on all deterministic fields"
               f"{suffix}")
         return 0
 

@@ -29,7 +29,7 @@
 # fault_sweep.csv — the figure-level outputs under 0–10% injected faults
 # (see docs/ROBUSTNESS.md).
 # The heavy sweeps also accept --checkpoint/--resume for crash-safe runs;
-# scripts/resume_smoke.sh exercises kill-mid-run + resume end to end
+# scripts/contracts.py exercises kill-mid-run + resume end to end
 # (docs/ROBUSTNESS.md, "Crash safety & resume").
 
 set -euo pipefail
@@ -52,7 +52,7 @@ cd "$out_dir"   # benches write auxiliary CSVs into their cwd
 benches=()
 for bin in "$build_dir"/bench/*; do
   # daemon_chaos speaks its own flags/JSON schema and has a dedicated
-  # driver (scripts/daemon_chaos_smoke.sh) — skip it here.
+  # rows in scripts/contracts.py — skip it here.
   [[ "$(basename "$bin")" == "daemon_chaos" ]] && continue
   [[ -f "$bin" && -x "$bin" ]] && benches+=("$bin")
 done

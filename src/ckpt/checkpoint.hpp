@@ -26,9 +26,9 @@
 //
 // Fault hook: QUICKSAND_CKPT_ABORT_AFTER=<n> hard-kills the process
 // (std::_Exit, no destructors — a stand-in for SIGKILL) right after the
-// n-th newly recorded shard is flushed. The kill-and-resume smoke test
-// (scripts/resume_smoke.sh, CI "resume-smoke") uses it to assert resumed
-// output is byte-identical to an uninterrupted run.
+// n-th newly recorded shard is flushed. The kill-and-resume rows of
+// scripts/contracts.py use it to assert resumed output is byte-identical
+// to an uninterrupted run.
 
 #include <cstdint>
 #include <map>

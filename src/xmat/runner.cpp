@@ -118,7 +118,7 @@ RunSummary RunMatrix(const MatrixConfig& config, const RunnerOptions& options) {
 
   // Chaos hook, mirroring QUICKSAND_CKPT_ABORT_AFTER: raise(SIGKILL) on
   // the runner itself after the n-th cell completes — the crash
-  // scripts/matrix_smoke.sh resumes from.
+  // the matrix/c_* rows of scripts/contracts.py resume from.
   const std::int64_t kill_after = util::EnvInt64("QUICKSAND_XMAT_KILL_AFTER", 0);
 
   RunSummary summary;
