@@ -251,13 +251,26 @@ CONTRACTS = [
     Row("scale_feed/text", "bench/scale_feed", ("--format", "text", *JSON),
         checks=(same("scale_feed/qmrt/run.json", "scale_feed/text/run.json"),)),
 
-    # Checkpointed sweeps: kill mid-sweep, resume, byte-identical output.
-    *(row for bench, csv, abort_after in (
-          ("sec33_asymmetric_gain", "sec33_deanon.csv", 7),
-          ("sec2_longterm_guards", "sec2_longterm.csv", 2))
+    # Checkpointed sweeps: kill mid-sweep, resume, byte-identical output;
+    # the uninterrupted t4 run equals the t1 run, JSON and CSVs.
+    *(row for bench, csvs, abort_after in (
+          ("sec33_asymmetric_gain", ("sec33_deanon.csv", "sec33_population.csv"), 7),
+          ("sec2_longterm_guards", ("sec2_longterm.csv", "sec2_population.csv"), 2))
       for threads in ("1", "4")
-      for row in kill_resume(f"resume/{bench}/t{threads}", f"bench/{bench}",
-                             ("--threads", threads), abort_after, (csv,))),
+      for row in kill_resume(
+          f"resume/{bench}/t{threads}", f"bench/{bench}", ("--threads", threads),
+          abort_after, csvs[:1],
+          checks=() if threads == "1" else (
+              same(f"resume/{bench}/t1/full/run.json",
+                   f"resume/{bench}/t4/full/run.json"),
+              *(identical(f"resume/{bench}/t1/full/{csv}",
+                          f"resume/{bench}/t4/full/{csv}") for csv in csvs)))),
+
+    # Section 5 relay selection: serial vs parallel pair evaluation.
+    Row("sec5/t1", "bench/sec5_countermeasures", ("--threads", "1", *JSON)),
+    Row("sec5/t4", "bench/sec5_countermeasures", ("--threads", "4", *JSON),
+        checks=(same("sec5/t1/run.json", "sec5/t4/run.json"),
+                identical("sec5/t1/sec5_policies.csv", "sec5/t4/sec5_policies.csv"))),
 
     # Population engine: kill mid-population (after 5 of 8 shards) and
     # resume at t1 and t4; the uninterrupted t4 run equals the t1 run.

@@ -1,78 +1,30 @@
 #include "core/longterm.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
-#include "core/population_exposure.hpp"
-#include "exec/parallel.hpp"
 #include "obs/span.hpp"
-#include "netbase/rng.hpp"
 
 namespace quicksand::core {
 
 LongTermResult SimulateLongTermExposure(const tor::Consensus& consensus,
                                         const LongTermParams& params) {
   const obs::ScopedSpan span("core.longterm_exposure");
-  if (params.clients == 0 || params.instances == 0) {
-    throw std::invalid_argument("SimulateLongTermExposure: need clients and instances");
-  }
-  if (params.malicious_bandwidth_fraction < 0 || params.malicious_bandwidth_fraction > 1) {
-    throw std::invalid_argument("SimulateLongTermExposure: fraction outside [0,1]");
-  }
-  netbase::Rng rng(params.seed);
-
-  const MaliciousMarkResult marked =
-      MarkMaliciousByBandwidth(consensus, params.malicious_bandwidth_fraction, rng);
-  const std::vector<bool>& malicious = marked.malicious;
-  LongTermResult result;
-  result.malicious_relays = marked.relays;
-  result.malicious_guards = marked.guards;
-  result.malicious_exits = marked.exits;
-
   tor::PathSelectionConfig config;
   config.guard_set_size = std::max<std::size_t>(1, params.guard_set_size);
   const tor::PathSelector selector(consensus, config);
-  const bool persistent_guards = params.guard_set_size > 0;
 
-  // Each client is an independent substream (forked serially, in client
-  // order), so clients simulate in parallel: a task walks one client's
-  // whole instance trajectory and reports the first compromised instance
-  // (params.instances = never). The cumulative curve is then a serial
-  // prefix count over those indices — identical for any thread count.
-  std::vector<netbase::Rng> client_rngs;
-  client_rngs.reserve(params.clients);
-  for (std::size_t c = 0; c < params.clients; ++c) client_rngs.push_back(rng.Fork());
-
-  const std::vector<std::size_t> first_compromised = exec::ParallelMap(
-      params.threads, params.clients, [&](std::size_t c) {
-        netbase::Rng client_rng = client_rngs[c];
-        std::vector<std::size_t> guards = selector.PickGuardSet(client_rng);
-        std::int64_t guards_since = 0;
-        for (std::size_t instance = 0; instance < params.instances; ++instance) {
-          const std::int64_t now =
-              static_cast<std::int64_t>(instance) * params.instance_interval_s;
-          if (!persistent_guards || now - guards_since >= params.guard_lifetime_s) {
-            guards = selector.PickGuardSet(client_rng);
-            guards_since = now;
-          }
-          const tor::Circuit circuit = selector.BuildCircuit(guards, client_rng);
-          if (malicious[circuit.guard] && malicious[circuit.exit]) return instance;
-        }
-        return params.instances;
-      });
-
-  std::vector<std::size_t> newly_compromised(params.instances, 0);
-  for (std::size_t instance : first_compromised) {
-    if (instance < params.instances) ++newly_compromised[instance];
-  }
-  result.cumulative_compromised.reserve(params.instances);
-  std::size_t compromised_clients = 0;
-  for (std::size_t instance = 0; instance < params.instances; ++instance) {
-    compromised_clients += newly_compromised[instance];
-    result.cumulative_compromised.push_back(static_cast<double>(compromised_clients) /
-                                            static_cast<double>(params.clients));
-  }
-  result.final_fraction = result.cumulative_compromised.back();
-  return result;
+  PopulationExposureParams population;
+  population.clients = params.clients;
+  population.days = params.instances;
+  population.instance_interval_s = params.instance_interval_s;
+  // Without guard persistence the one-guard set rotates at every instance:
+  // a fresh bandwidth-weighted entry relay per circuit.
+  population.guard_lifetime_s = params.guard_set_size == 0 ? 0 : params.guard_lifetime_s;
+  population.malicious_bandwidth_fraction = params.malicious_bandwidth_fraction;
+  population.seed = params.seed;
+  population.threads = params.threads;
+  const bgp::AsNumber home_as[] = {0};  // the clients' location plays no part
+  return SimulatePopulationExposure(selector, home_as, population);
 }
 
 }  // namespace quicksand::core

@@ -15,11 +15,14 @@
 // are malicious (end-to-end timing analysis). It backs the guard-count
 // trade-off the countermeasures section raises ("balance this strategy
 // with the need to limit the number of guard relays").
+//
+// It is a configuration of the population engine
+// (core/population_exposure.hpp): guard-set size and lifetime become a
+// PathSelector and a rotation period, and the clients share one home AS.
 
 #include <cstdint>
-#include <vector>
 
-#include "tor/path_selection.hpp"
+#include "core/population_exposure.hpp"
 
 namespace quicksand::core {
 
@@ -34,24 +37,19 @@ struct LongTermParams {
   /// Fraction of total relay bandwidth the adversary controls.
   double malicious_bandwidth_fraction = 0.1;
   std::uint64_t seed = 1;
-  /// Worker threads for the per-client simulation (0 = hardware
-  /// concurrency). Clients are independent substreams, so the result is
-  /// byte-identical for every value.
+  /// Worker threads for the client sweep (0 = hardware concurrency); the
+  /// result is byte-identical for every value.
   std::size_t threads = 1;
 };
 
-struct LongTermResult {
-  /// Element i: fraction of clients with at least one compromised
-  /// instance among instances [0, i].
-  std::vector<double> cumulative_compromised;
-  double final_fraction = 0;
-  std::size_t malicious_relays = 0;
-  std::size_t malicious_guards = 0;
-  std::size_t malicious_exits = 0;
-};
+/// cumulative_compromised[i] is the fraction of clients with at least one
+/// compromised instance among instances [0, i].
+using LongTermResult = PopulationExposureResult;
 
-/// Runs the simulation. Throws std::invalid_argument on a zero-client or
-/// zero-instance configuration or a fraction outside [0, 1].
+/// Runs the simulation. The adversary's relays come from
+/// MarkMaliciousByBandwidth on Rng(seed). Throws std::invalid_argument on
+/// a zero-client or zero-instance configuration or a fraction outside
+/// [0, 1].
 [[nodiscard]] LongTermResult SimulateLongTermExposure(const tor::Consensus& consensus,
                                                       const LongTermParams& params);
 

@@ -3,15 +3,15 @@
 // Population-scale exposure aggregation over the tor::ClientPopulation
 // engine (Sections 2 and 3.3 at population scale).
 //
-// SimulateLongTermExposure (core/longterm.hpp) walks a few hundred clients
-// client-major; this module drives millions, sharded through
-// ckpt::CheckpointedMap so a population sweep is resumable mid-run and
-// byte-identical at every thread count and shard split (client substreams
-// are re-derived per shard via ClientPopulation::ForShard). On top of the
-// compromise trajectory it aggregates *per-client-AS* distributions — the
-// paper's point estimates ("x% of clients compromised after 360 days",
-// "mean asymmetric gain ~2x") become histograms over where the clients
-// actually live.
+// The one long-term client simulation: SimulateLongTermExposure
+// (core/longterm.hpp) is a configuration of it. Clients are sharded
+// through ckpt::CheckpointedMap so a population sweep is resumable mid-run
+// and byte-identical at every thread count and shard split (client
+// substreams are re-derived per shard via ClientPopulation::ForShard). On
+// top of the compromise trajectory it aggregates *per-client-AS*
+// distributions — the paper's point estimates ("x% of clients compromised
+// after 360 days", "mean asymmetric gain ~2x") become histograms over
+// where the clients actually live.
 
 #include <cstdint>
 #include <span>
@@ -25,9 +25,7 @@
 
 namespace quicksand::core {
 
-/// Relays marked malicious until the adversary owns a bandwidth share
-/// (extracted from SimulateLongTermExposure; the marking consumes the
-/// caller's rng exactly as the original inline code did).
+/// Relays marked malicious until the adversary owns a bandwidth share.
 struct MaliciousMarkResult {
   std::vector<bool> malicious;  ///< per relay index
   std::size_t relays = 0;

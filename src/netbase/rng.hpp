@@ -88,11 +88,17 @@ class Rng {
   }
 
   /// Index in [0, weights.size()) drawn proportionally to weights.
-  /// Throws std::invalid_argument if weights is empty or sums to <= 0.
+  /// Throws std::invalid_argument if weights is empty, holds a negative or
+  /// non-finite weight, or does not sum to a positive finite total.
   [[nodiscard]] std::size_t WeightedIndex(std::span<const double> weights) {
     double total = 0;
-    for (double w : weights) total += w;
-    if (weights.empty() || total <= 0) {
+    for (double w : weights) {
+      if (!std::isfinite(w) || w < 0) {
+        throw std::invalid_argument("WeightedIndex: negative or non-finite weight");
+      }
+      total += w;
+    }
+    if (weights.empty() || !(total > 0) || !std::isfinite(total)) {
       throw std::invalid_argument("WeightedIndex: empty or non-positive weights");
     }
     double target = UniformDouble() * total;

@@ -52,7 +52,9 @@ bool AsAwareConstraint::AllowExitWithGuard(std::size_t exit_index,
 std::vector<double> ShortAsPathGuardWeights(
     const Consensus& consensus,
     const std::unordered_map<std::size_t, int>& guard_as_path_length, double gamma) {
-  if (gamma < 0) throw std::invalid_argument("ShortAsPathGuardWeights: gamma < 0");
+  if (!std::isfinite(gamma) || gamma < 0) {
+    throw std::invalid_argument("ShortAsPathGuardWeights: gamma must be finite and >= 0");
+  }
   int worst = 1;
   for (const auto& [relay, length] : guard_as_path_length) {
     worst = std::max(worst, length);

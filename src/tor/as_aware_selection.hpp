@@ -55,7 +55,7 @@ class AsAwareConstraint final : public CircuitConstraint {
 /// the shorter-AS-PATH guard preference: multiplier = len^-gamma, with
 /// unknown-length guards given the worst observed length. gamma = 0
 /// disables the preference (all multipliers 1).
-/// Throws std::invalid_argument if gamma < 0.
+/// Throws std::invalid_argument if gamma is negative or not finite.
 [[nodiscard]] std::vector<double> ShortAsPathGuardWeights(
     const Consensus& consensus,
     const std::unordered_map<std::size_t, int>& guard_as_path_length, double gamma);

@@ -1,6 +1,5 @@
 #include "tor/path_selection.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -33,29 +32,7 @@ PathSelector::PathSelector(const Consensus& consensus, PathSelectionConfig confi
 std::vector<std::size_t> PathSelector::PickGuardSet(
     netbase::Rng& rng, std::span<const double> weight_multipliers,
     const CircuitConstraint* constraint) const {
-  if (!weight_multipliers.empty() &&
-      weight_multipliers.size() != consensus().relays().size()) {
-    throw std::invalid_argument(
-        "PickGuardSet: weight_multipliers must align with the relay list");
-  }
-  std::vector<std::size_t> candidates;
-  candidates.reserve(core_.guards().size());
-  for (std::size_t index : core_.guards()) {
-    if (constraint == nullptr || constraint->AllowGuard(index)) {
-      candidates.push_back(index);
-    }
-  }
-  if (candidates.size() < config().guard_set_size) {
-    throw std::runtime_error("PickGuardSet: fewer eligible guards than guard_set_size");
-  }
-  std::vector<std::size_t> chosen;
-  while (chosen.size() < config().guard_set_size) {
-    const auto pick = core_.ScanPick(candidates, rng, weight_multipliers, chosen);
-    if (!pick) {
-      throw std::runtime_error("PickGuardSet: guard candidates exhausted (weights/16s)");
-    }
-    chosen.push_back(*pick);
-  }
+  std::vector<std::size_t> chosen = core_.DrawGuardSet(rng, weight_multipliers, constraint);
   PathMetrics::Get().guard_sets_picked.Increment();
   return chosen;
 }
@@ -65,32 +42,16 @@ Circuit PathSelector::BuildCircuit(std::span<const std::size_t> guard_set,
                                    const CircuitConstraint* constraint) const {
   if (guard_set.empty()) throw std::invalid_argument("BuildCircuit: empty guard set");
   PathMetrics& metrics = PathMetrics::Get();
-  constexpr int kMaxAttempts = 64;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    metrics.circuit_attempts.Increment();
-    // Guard: uniform among the client's guards (Tor rotates across the
-    // small set for availability).
-    const std::size_t guard = guard_set[rng.UniformInt(0, guard_set.size() - 1)];
-    if (constraint != nullptr && !constraint->AllowGuard(guard)) continue;
-
-    // Exit: bandwidth-weighted among exits, excluding the guard.
-    const std::size_t exclude_guard[] = {guard};
-    const auto exit = core_.ScanPick(core_.exits(), rng, {}, exclude_guard);
-    if (!exit) continue;
-    if (constraint != nullptr && !constraint->AllowExitWithGuard(*exit, guard)) continue;
-
-    // Middle: bandwidth-weighted among all running relays.
-    const std::size_t exclude_both[] = {guard, *exit};
-    const auto middle = core_.ScanPick(core_.running(), rng, {}, exclude_both);
-    if (!middle) continue;
-
-    Circuit circuit{guard, *middle, *exit};
-    ValidateCircuit(circuit, consensus());
-    metrics.circuits_built.Increment();
-    return circuit;
+  int attempts = 0;
+  const auto circuit = core_.DrawCircuit(guard_set, rng, constraint, attempts);
+  metrics.circuit_attempts.Increment(static_cast<std::uint64_t>(attempts));
+  if (!circuit) {
+    metrics.build_failures.Increment();
+    throw std::runtime_error("BuildCircuit: no valid circuit after bounded retries");
   }
-  metrics.build_failures.Increment();
-  throw std::runtime_error("BuildCircuit: no valid circuit after bounded retries");
+  ValidateCircuit(*circuit, consensus());
+  metrics.circuits_built.Increment();
+  return *circuit;
 }
 
 double PathSelector::GuardSelectionProbability(std::size_t relay_index) const {

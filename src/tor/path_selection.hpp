@@ -10,16 +10,14 @@
 // distinctness and /16 constraints. Countermeasure policies (Section 5)
 // plug in through CircuitConstraint and per-guard weight multipliers.
 //
-// PathSelector is the scalar adapter over tor::SelectionCore
-// (tor/population.hpp): the candidate partitions, /16 keys, and the
-// cumulative-scan draw live in the shared core, and every draw here uses
-// the core's ScanPick — the exact pre-refactor FP sequence, so outputs
-// stay bit-identical. Population-scale sweeps use the same core through
-// ClientPopulation's O(1) alias draws instead.
+// PathSelector is the one-client face of tor::SelectionCore
+// (tor/population.hpp): the candidate partitions, /16 keys, alias tables
+// and both compound draws (guard set, circuit) live in the shared core,
+// which ClientPopulation's population-scale sweeps call too. What stays
+// here is the per-circuit ValidateCircuit check and the tor.path.*
+// counters.
 
 #include <cstddef>
-#include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -57,15 +55,17 @@ class PathSelector {
   /// Draws a guard set: `guard_set_size` distinct guards, bandwidth-
   /// weighted, optionally modulated by per-relay multipliers (aligned with
   /// the consensus relay list; pass {} for none) and filtered through
-  /// `constraint`. Throws std::runtime_error if too few guards qualify.
+  /// `constraint` (SelectionCore::DrawGuardSet). Throws
+  /// std::invalid_argument on a misaligned, negative or non-finite
+  /// multiplier and std::runtime_error if too few guards qualify.
   [[nodiscard]] std::vector<std::size_t> PickGuardSet(
       netbase::Rng& rng, std::span<const double> weight_multipliers = {},
       const CircuitConstraint* constraint = nullptr) const;
 
   /// Builds a circuit: guard uniformly from `guard_set`, exit and middle
   /// bandwidth-weighted, obeying distinctness, the /16 rule, and
-  /// `constraint`. Throws std::runtime_error if no valid circuit exists
-  /// after bounded retries.
+  /// `constraint` (SelectionCore::DrawCircuit). Throws std::runtime_error
+  /// if no valid circuit exists after bounded retries.
   [[nodiscard]] Circuit BuildCircuit(std::span<const std::size_t> guard_set,
                                      netbase::Rng& rng,
                                      const CircuitConstraint* constraint = nullptr) const;

@@ -1,6 +1,7 @@
 #include "tor/population.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -48,10 +49,13 @@ AliasTable AliasTable::Build(std::vector<std::size_t> candidates,
 
   double total = 0;
   for (const double w : weights) {
+    if (!std::isfinite(w)) throw std::invalid_argument("AliasTable: non-finite weight");
     if (w < 0) throw std::invalid_argument("AliasTable: negative weight");
     total += w;
   }
-  if (total <= 0) throw std::invalid_argument("AliasTable: non-positive total weight");
+  if (!(total > 0) || !std::isfinite(total)) {
+    throw std::invalid_argument("AliasTable: total weight not positive and finite");
+  }
 
   table.mass_.resize(n);
   table.accept_.resize(n);
@@ -138,27 +142,97 @@ bool SelectionCore::Excluded(std::size_t index,
   return false;
 }
 
-std::optional<std::size_t> SelectionCore::ScanPick(
-    std::span<const std::size_t> candidates, netbase::Rng& rng,
-    std::span<const double> weight_multipliers,
-    std::span<const std::size_t> exclude) const {
+std::vector<std::size_t> SelectionCore::DrawGuardSet(
+    netbase::Rng& rng, std::span<const double> weight_multipliers,
+    const CircuitConstraint* constraint) const {
+  const AliasTable* table = &guard_table();
+  AliasTable weighted;
+  if (!weight_multipliers.empty()) {
+    if (weight_multipliers.size() != bandwidth_.size()) {
+      throw std::invalid_argument(
+          "DrawGuardSet: weight_multipliers must align with the relay list");
+    }
+    for (const double m : weight_multipliers) {
+      if (!std::isfinite(m) || m < 0) {
+        throw std::invalid_argument(
+            "DrawGuardSet: weight multipliers must be finite and non-negative");
+      }
+    }
+    std::vector<double> weights;
+    weights.reserve(guards_.size());
+    double total = 0;
+    for (const std::size_t index : guards_) {
+      weights.push_back(bandwidth_[index] * weight_multipliers[index]);
+      total += weights.back();
+    }
+    if (total > 0) weighted = AliasTable::Build(guards_, weights);
+    table = &weighted;
+  }
+  const auto accept = [&](std::size_t index) {
+    return constraint == nullptr || constraint->AllowGuard(index);
+  };
+  std::vector<std::size_t> chosen;
+  chosen.reserve(config_.guard_set_size);
+  while (chosen.size() < config_.guard_set_size) {
+    const auto pick = AliasPick(*table, rng, chosen, accept);
+    if (!pick) {
+      throw std::runtime_error(
+          "DrawGuardSet: guard candidates exhausted (weights/16s/constraint)");
+    }
+    chosen.push_back(*pick);
+  }
+  return chosen;
+}
+
+template <typename Slot>
+std::optional<Circuit> SelectionCore::DrawCircuit(std::span<const Slot> guard_set,
+                                                  netbase::Rng& rng,
+                                                  const CircuitConstraint* constraint,
+                                                  int& attempts) const {
+  constexpr int kMaxAttempts = 64;
+  for (attempts = 0; attempts < kMaxAttempts;) {
+    ++attempts;
+    // Guard: uniform among the client's guards (Tor rotates across the
+    // small set for availability).
+    const std::size_t guard = guard_set[rng.UniformInt(0, guard_set.size() - 1)];
+    if (constraint != nullptr && !constraint->AllowGuard(guard)) continue;
+
+    // Exit: alias-drawn among exits, excluding the guard. The constraint
+    // judges the drawn pair, it does not condition the draw.
+    const std::size_t exclude_guard[] = {guard};
+    const auto exit = AliasPick(exit_table(), rng, exclude_guard);
+    if (!exit) continue;
+    if (constraint != nullptr && !constraint->AllowExitWithGuard(*exit, guard)) continue;
+
+    // Middle: alias-drawn among all running relays.
+    const std::size_t exclude_both[] = {guard, *exit};
+    const auto middle = AliasPick(middle_table(), rng, exclude_both);
+    if (!middle) continue;
+    return Circuit{guard, *middle, *exit};
+  }
+  return std::nullopt;
+}
+
+template std::optional<Circuit> SelectionCore::DrawCircuit(
+    std::span<const std::size_t>, netbase::Rng&, const CircuitConstraint*, int&) const;
+template std::optional<Circuit> SelectionCore::DrawCircuit(
+    std::span<const std::uint32_t>, netbase::Rng&, const CircuitConstraint*, int&) const;
+
+std::optional<std::size_t> SelectionCore::ResidualScan(
+    const AliasTable& table, netbase::Rng& rng, std::span<const std::size_t> exclude,
+    const std::function<bool(std::size_t)>& accept) const {
   std::vector<double> weights;
-  weights.reserve(candidates.size());
+  weights.reserve(table.size());
   double total = 0;
-  for (std::size_t index : candidates) {
-    double weight = bandwidth_[index];
-    if (!weight_multipliers.empty()) weight *= weight_multipliers[index];
-    const bool excluded =
-        std::find(exclude.begin(), exclude.end(), index) != exclude.end() ||
-        (config_.enforce_distinct_slash16 &&
-         std::any_of(exclude.begin(), exclude.end(),
-                     [&](std::size_t e) { return SharesSlash16(index, e); }));
-    if (excluded) weight = 0;
+  for (std::size_t slot = 0; slot < table.size(); ++slot) {
+    const std::size_t index = table.candidates()[slot];
+    double weight = table.Probability(slot);
+    if (Excluded(index, exclude) || !accept(index)) weight = 0;
     weights.push_back(weight);
     total += weight;
   }
   if (total <= 0) return std::nullopt;
-  return candidates[rng.WeightedIndex(weights)];
+  return table.candidates()[rng.WeightedIndex(weights)];
 }
 
 void SelectionCore::EnsureAliasTables() const {
@@ -248,22 +322,10 @@ std::vector<std::size_t> ClientPopulation::GuardSetOf(std::size_t client) const 
 }
 
 void ClientPopulation::PickGuardSetInto(std::size_t client) {
-  const AliasTable& table = core_->guard_table();
-  std::uint32_t* slots = guard_slots_.data() + client * guard_set_size_;
-  const auto accept = [&](std::size_t index) {
-    return constraint_ == nullptr || constraint_->AllowGuard(index);
-  };
-  std::vector<std::size_t> chosen;
-  chosen.reserve(guard_set_size_);
-  for (std::size_t k = 0; k < guard_set_size_; ++k) {
-    const auto pick = core_->AliasPick(table, rngs_[client], chosen, accept);
-    if (!pick) {
-      throw std::runtime_error(
-          "ClientPopulation: guard candidates exhausted (weights/16s/constraint)");
-    }
-    chosen.push_back(*pick);
-    slots[k] = static_cast<std::uint32_t>(*pick);
-  }
+  const std::vector<std::size_t> chosen =
+      core_->DrawGuardSet(rngs_[client], {}, constraint_);
+  std::copy(chosen.begin(), chosen.end(),
+            guard_slots_.begin() + static_cast<std::ptrdiff_t>(client * guard_set_size_));
 }
 
 std::size_t ClientPopulation::RotateExpired(netbase::SimTime now) {
@@ -285,40 +347,17 @@ void ClientPopulation::BuildCircuits(std::span<Circuit> out) {
   if (out.size() != rngs_.size()) {
     throw std::invalid_argument("BuildCircuits: out span must have size() entries");
   }
-  constexpr int kMaxAttempts = 64;
+  // Invariants (distinctness, flags, /16) hold by construction: no
+  // per-circuit ValidateCircuit on the population path.
   for (std::size_t c = 0; c < rngs_.size(); ++c) {
-    netbase::Rng& rng = rngs_[c];
-    const std::uint32_t* slots = guard_slots_.data() + c * guard_set_size_;
-    bool built = false;
-    for (int attempt = 0; attempt < kMaxAttempts && !built; ++attempt) {
-      // Guard: uniform among the client's guards (Tor rotates across the
-      // small set for availability).
-      const std::size_t guard = slots[rng.UniformInt(0, guard_set_size_ - 1)];
-      if (constraint_ != nullptr && !constraint_->AllowGuard(guard)) continue;
-
-      // Exit: alias-drawn among exits, excluding the guard.
-      const std::size_t exclude_guard[] = {guard};
-      const auto exit = core_->AliasPick(
-          core_->exit_table(), rng, exclude_guard, [&](std::size_t index) {
-            return constraint_ == nullptr ||
-                   constraint_->AllowExitWithGuard(index, guard);
-          });
-      if (!exit) continue;
-
-      // Middle: alias-drawn among all running relays. Invariants
-      // (distinctness, flags, /16) hold by construction — no per-circuit
-      // ValidateCircuit on the population path.
-      const std::size_t exclude_both[] = {guard, *exit};
-      const auto middle = core_->AliasPick(core_->middle_table(), rng, exclude_both);
-      if (!middle) continue;
-
-      out[c] = Circuit{guard, *middle, *exit};
-      built = true;
+    const std::span<const std::uint32_t> guards(
+        guard_slots_.data() + c * guard_set_size_, guard_set_size_);
+    int attempts = 0;
+    const auto circuit = core_->DrawCircuit(guards, rngs_[c], constraint_, attempts);
+    if (!circuit) {
+      throw std::runtime_error("BuildCircuits: no valid circuit after bounded retries");
     }
-    if (!built) {
-      throw std::runtime_error(
-          "BuildCircuits: no valid circuit after bounded retries");
-    }
+    out[c] = *circuit;
   }
   circuits_ += out.size();
   PopMetrics::Get().circuits_built.Increment(out.size());

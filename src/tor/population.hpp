@@ -1,29 +1,24 @@
 #pragma once
 
-// Population-scale client engine: the vectorized core under Tor path
-// selection.
-//
-// The scalar path (PathSelector / TorClient) reproduces the paper's
-// per-client behaviour; this layer restates it as data-parallel sweeps so
-// one consensus can drive millions of simulated clients:
+// Population-scale client engine: the one selection engine under Tor
+// path selection.
 //
 //  * AliasTable — Walker/Vose alias sampling over a weight class, built
-//    once per consensus, O(1) per draw (the scalar path's per-draw
-//    cumulative scan is O(relays)).
+//    once per consensus, O(1) per draw.
 //  * SelectionCore — the flag-partitioned candidate classes of one
 //    consensus (guards / exits / running) with their bandwidth weights,
-//    /16 keys, and lazily built alias tables. Both selection disciplines
-//    live here: ScanPick is the exact legacy cumulative scan (bit-for-bit
-//    the pre-refactor PathSelector draw, preserved so every existing
-//    bench output stays byte-identical), AliasPick is the O(1) alias draw
-//    with bounded rejection against exclusion/distinctness rules.
+//    /16 keys, and lazily built alias tables. Every relay choice is an
+//    AliasPick (O(1) alias draw with bounded rejection against
+//    exclusion/distinctness rules), and the two compound draws live here
+//    once: DrawGuardSet and DrawCircuit.
 //  * ClientPopulation — SoA client state (guard slots, rotation
 //    deadlines, client-AS ids, per-client RNG substreams in parallel
 //    arrays) with batched guard-rotation and circuit-building sweeps.
 //
-// Adapter seam: PathSelector wraps a SelectionCore and TorClient wraps a
-// one-client ClientPopulation, so the scalar APIs *are* the vectorized
-// path for N=1 (tests/tor/population_test.cpp proves the equivalence).
+// PathSelector (tor/path_selection.hpp) wraps a SelectionCore and calls
+// the same two draws, so one client driven through PathSelector and a
+// one-client ClientPopulation on the same substream draw identical guard
+// sets and circuits (tests/tor/population_test.cpp).
 //
 // Determinism contract (src/exec/parallel.hpp): client substreams are
 // forked serially in global client order — ClientPopulation::ForShard
@@ -32,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -77,9 +73,9 @@ class AliasTable {
   AliasTable() = default;
 
   /// Builds the table for `candidates[i]` drawn with weight `weights[i]`.
-  /// Weights must be non-negative with a positive total (unless the class
-  /// is empty). Throws std::invalid_argument on size mismatch or bad
-  /// weights.
+  /// Weights must be finite and non-negative with a positive finite total
+  /// (unless the class is empty). Throws std::invalid_argument on size
+  /// mismatch or bad weights.
   [[nodiscard]] static AliasTable Build(std::vector<std::size_t> candidates,
                                         std::span<const double> weights);
 
@@ -111,9 +107,9 @@ class AliasTable {
 };
 
 /// The flag-partitioned selection state of one consensus: candidate index
-/// lists, bandwidth weights, /16 keys, and alias tables. Shared by the
-/// scalar PathSelector adapter and the vectorized ClientPopulation; the
-/// consensus must outlive the core. Thread-safe for concurrent draws.
+/// lists, bandwidth weights, /16 keys, and alias tables. Shared by
+/// PathSelector and ClientPopulation; the consensus must outlive the core.
+/// Thread-safe for concurrent draws.
 class SelectionCore {
  public:
   explicit SelectionCore(const Consensus& consensus, PathSelectionConfig config);
@@ -138,19 +134,10 @@ class SelectionCore {
     return slash16_[a] == slash16_[b];
   }
 
-  /// The exact legacy draw: builds the per-candidate weight vector
-  /// (multipliers applied, excluded and /16-clashing entries zeroed) and
-  /// hands it to Rng::WeightedIndex — the same FP sequence as the
-  /// pre-refactor PathSelector::WeightedPick, preserved bit-for-bit.
-  [[nodiscard]] std::optional<std::size_t> ScanPick(
-      std::span<const std::size_t> candidates, netbase::Rng& rng,
-      std::span<const double> weight_multipliers,
-      std::span<const std::size_t> exclude) const;
-
   /// O(1) alias draw with bounded rejection against `exclude` (identity
   /// and, when configured, shared /16) and `accept`. Rejection against a
-  /// subset renormalizes exactly, so the conditional distribution equals
-  /// the scan's zero-weights-and-rescan distribution; a pathological
+  /// subset renormalizes exactly, so the draw follows the table's weights
+  /// restricted to the qualifying candidates; a pathological
   /// acceptance set falls back to one exact residual scan. Returns
   /// nullopt when nothing qualifies.
   template <typename Accept>
@@ -173,9 +160,32 @@ class SelectionCore {
     return AliasPick(table, rng, exclude, [](std::size_t) { return true; });
   }
 
+  /// Draws `config().guard_set_size` distinct guards (no two sharing a
+  /// /16 when configured) among those `constraint` allows (null = all),
+  /// bandwidth-weighted through guard_table(). Non-empty
+  /// `weight_multipliers` (aligned with the consensus relay list) weight
+  /// guard r by bandwidth x multiplier[r] instead, via a per-call table.
+  /// Throws std::invalid_argument on a misaligned, negative or non-finite
+  /// multiplier and std::runtime_error when the guard candidates run out.
+  [[nodiscard]] std::vector<std::size_t> DrawGuardSet(
+      netbase::Rng& rng, std::span<const double> weight_multipliers,
+      const CircuitConstraint* constraint) const;
+
+  /// Bounded attempts at one circuit: guard uniform within `guard_set`,
+  /// exit and middle alias-drawn under the identity and /16 rules. The
+  /// constraint is consulted after each draw (AllowGuard on the guard,
+  /// AllowExitWithGuard on the drawn exit); a rejection restarts the
+  /// attempt with a fresh guard. `attempts` receives the attempts made.
+  /// Returns nullopt when every attempt was rejected. Instantiated for
+  /// std::size_t and std::uint32_t guard slots.
+  template <typename Slot>
+  [[nodiscard]] std::optional<Circuit> DrawCircuit(std::span<const Slot> guard_set,
+                                                   netbase::Rng& rng,
+                                                   const CircuitConstraint* constraint,
+                                                   int& attempts) const;
+
   /// Alias tables per position class, built on first use (one shared
-  /// build for all three) so scan-only scalar workloads never register
-  /// pop.* telemetry. Safe to call concurrently.
+  /// build for all three). Safe to call concurrently.
   [[nodiscard]] const AliasTable& guard_table() const;
   [[nodiscard]] const AliasTable& exit_table() const;
   [[nodiscard]] const AliasTable& middle_table() const;
@@ -184,23 +194,14 @@ class SelectionCore {
   [[nodiscard]] bool Excluded(std::size_t index,
                               std::span<const std::size_t> exclude) const noexcept;
 
-  template <typename Accept>
+  /// The exact fallback after kRejectionBound rejections: one weighted
+  /// draw over the qualifying slots' table mass. Out of line (and type-
+  /// erased) so AliasPick's rejection loop stays small enough to inline at
+  /// every draw site; the population sweep runs measurably slower when it
+  /// does not.
   [[nodiscard]] std::optional<std::size_t> ResidualScan(
-      const AliasTable& table, netbase::Rng& rng,
-      std::span<const std::size_t> exclude, Accept&& accept) const {
-    std::vector<double> weights;
-    weights.reserve(table.size());
-    double total = 0;
-    for (std::size_t slot = 0; slot < table.size(); ++slot) {
-      const std::size_t index = table.candidates()[slot];
-      double weight = table.Probability(slot);
-      if (Excluded(index, exclude) || !accept(index)) weight = 0;
-      weights.push_back(weight);
-      total += weight;
-    }
-    if (total <= 0) return std::nullopt;
-    return table.candidates()[rng.WeightedIndex(weights)];
-  }
+      const AliasTable& table, netbase::Rng& rng, std::span<const std::size_t> exclude,
+      const std::function<bool(std::size_t)>& accept) const;
 
   void EnsureAliasTables() const;
 
@@ -229,7 +230,7 @@ struct PopulationConfig {
 /// SoA state of a shard of simulated clients over one consensus: guard
 /// slots, rotation deadlines, client-AS ids, and per-client RNG
 /// substreams in parallel arrays. Guard sets are drawn at construction
-/// (rotation clock starts at SimTime 0, like TorClient); sweeps then
+/// (rotation clock starts at SimTime 0); sweeps then
 /// advance every client in a batch. The selector must outlive the
 /// population.
 class ClientPopulation {
@@ -266,13 +267,12 @@ class ClientPopulation {
 
   /// Batched rotation sweep: re-draws the guard set of every client whose
   /// set has lived >= guard_lifetime_s at `now` (single rotation per
-  /// sweep, like TorClient::MaybeRotateGuards). Returns the number of
+  /// sweep). Returns the number of
   /// clients rotated.
   std::size_t RotateExpired(netbase::SimTime now);
 
-  /// Builds one circuit per client into `out` (size() entries): guard
-  /// uniform within the client's set, exit and middle alias-drawn under
-  /// the /16/distinctness rules and the constraint. Throws
+  /// Builds one circuit per client into `out` (size() entries) with
+  /// SelectionCore::DrawCircuit over the client's guard set. Throws
   /// std::runtime_error if a client finds no valid circuit after bounded
   /// attempts.
   void BuildCircuits(std::span<Circuit> out);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "bgp/topology_gen.hpp"
+#include "support/scan_reference.hpp"
 #include "tor/consensus_gen.hpp"
 
 namespace quicksand::core {
@@ -100,6 +103,41 @@ TEST(LongTerm, DeterministicForSeed) {
   const auto a = SimulateLongTermExposure(TestConsensus(), FastParams());
   const auto b = SimulateLongTermExposure(TestConsensus(), FastParams());
   EXPECT_EQ(a.cumulative_compromised, b.cumulative_compromised);
+}
+
+/// SimulateLongTermExposure (population engine, alias draws) against the
+/// scan-based client-by-client loop it replaced
+/// (tests/support/scan_reference.hpp). Both mark the same adversary from
+/// Rng(seed) and then draw their clients independently, so at every
+/// instance the two cumulative fractions estimate one probability: they
+/// must agree within a two-proportion binomial bound (4 standard errors
+/// plus a 1/n continuity term), for each Section 2 guard policy. The
+/// no-guard policy carries a 30-day lifetime that must not matter.
+TEST(LongTerm, AgreesWithScanOracleForEveryGuardPolicy) {
+  struct Policy {
+    std::size_t guards;
+    std::int64_t lifetime_days;
+  };
+  const Policy policies[] = {{0, 30}, {1, 4000}, {3, 30}, {3, 270}, {9, 30}};
+  for (const Policy& policy : policies) {
+    LongTermParams params = FastParams();
+    params.clients = 1000;
+    params.guard_set_size = policy.guards;
+    params.guard_lifetime_s = policy.lifetime_days * netbase::duration::kDay;
+    const std::vector<double> oracle = scan_reference::ScanLongTermCurve(TestConsensus(), params);
+    const LongTermResult result = SimulateLongTermExposure(TestConsensus(), params);
+    ASSERT_EQ(result.cumulative_compromised.size(), oracle.size());
+    const double n = static_cast<double>(params.clients);
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      const double a = oracle[i], b = result.cumulative_compromised[i];
+      const double pooled = (a + b) / 2;
+      const double se = std::sqrt(pooled * (1 - pooled) * 2 / n);
+      ASSERT_LE(std::abs(a - b), 4 * se + 1 / n)
+          << policy.guards << " guards, " << policy.lifetime_days << "-day lifetime, instance "
+          << i << ": scan " << a << " vs alias " << b;
+    }
+    EXPECT_GT(oracle.back(), 0.0);
+  }
 }
 
 TEST(LongTerm, InputValidation) {

@@ -150,8 +150,8 @@ TEST(PopulationExposure, InputValidation) {
 }
 
 TEST(MarkMalicious, MatchesLongTermMarking) {
-  // The extracted marking must consume the rng exactly as the original
-  // inline SimulateLongTermExposure code did: same seed, same counts.
+  // SimulateLongTermExposure marks its adversary from Rng(seed) exactly
+  // as a direct MarkMaliciousByBandwidth call does: same seed, same counts.
   const tor::Consensus& consensus = TestFixture().consensus;
   netbase::Rng rng(7);
   const MaliciousMarkResult marked = MarkMaliciousByBandwidth(consensus, 0.15, rng);

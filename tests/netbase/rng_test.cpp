@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace quicksand::netbase {
@@ -105,6 +106,19 @@ TEST(Rng, WeightedIndexRejectsDegenerateInput) {
   EXPECT_THROW((void)rng.WeightedIndex(empty), std::invalid_argument);
   const std::array<double, 2> zeros = {0.0, 0.0};
   EXPECT_THROW((void)rng.WeightedIndex(zeros), std::invalid_argument);
+  // NaN, infinite and negative weights, and finite weights whose sum
+  // overflows.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double big = std::numeric_limits<double>::max();
+  EXPECT_THROW((void)rng.WeightedIndex(std::array<double, 2>{1.0, nan}),
+               std::invalid_argument);
+  EXPECT_THROW((void)rng.WeightedIndex(std::array<double, 2>{inf, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)rng.WeightedIndex(std::array<double, 2>{2.0, -1.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)rng.WeightedIndex(std::array<double, 2>{big, big}),
+               std::invalid_argument);
 }
 
 TEST(Rng, ShufflePreservesElements) {

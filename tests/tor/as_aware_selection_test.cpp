@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace quicksand::tor {
 namespace {
 
@@ -78,6 +80,17 @@ TEST(ShortAsPathGuardWeights, HigherGammaConcentratesMore) {
 TEST(ShortAsPathGuardWeights, NegativeGammaRejected) {
   const Consensus consensus(netbase::SimTime{0}, {});
   EXPECT_THROW((void)ShortAsPathGuardWeights(consensus, {}, -1.0),
+               std::invalid_argument);
+}
+
+TEST(ShortAsPathGuardWeights, NonFiniteGammaRejected) {
+  // NaN passes a bare `gamma < 0` test and would yield NaN multipliers.
+  const Consensus consensus(netbase::SimTime{0}, {});
+  EXPECT_THROW((void)ShortAsPathGuardWeights(
+                   consensus, {}, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW((void)ShortAsPathGuardWeights(
+                   consensus, {}, std::numeric_limits<double>::infinity()),
                std::invalid_argument);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 
 namespace quicksand::tor {
@@ -135,6 +137,70 @@ TEST(PathSelector, ConstraintVetoesGuardsAndPairs) {
     const Circuit circuit = selector.BuildCircuit(guards, rng, &constraint);
     EXPECT_NE(circuit.exit, 4u);
   }
+}
+
+/// The constraint judges a drawn (guard, exit) pair; it does not condition
+/// the exit draw. Guard set {g1, g2}; g1 is allowed only with e2 (1000 of
+/// the 4000 exit bandwidth g1 can use: e3 shares g1's /16), g2 with any
+/// exit. Each attempt picks either guard with probability 1/2 and a
+/// rejection restarts it, so g1 carries 0.5 * 0.25 / (0.5 * 0.25 + 0.5) =
+/// 0.2 of the circuits. Conditioning the exit draw on the constraint would
+/// give g1 one half.
+TEST(PathSelector, ConstraintRejectsDrawnPairsAndRedraws) {
+  class G1OnlyWithE2 final : public CircuitConstraint {
+   public:
+    bool AllowExitWithGuard(std::size_t exit_index,
+                            std::size_t guard_index) const override {
+      return guard_index != 0 || exit_index == 5;
+    }
+  };
+  const Consensus consensus = TestConsensus();
+  const PathSelector selector(consensus);
+  const G1OnlyWithE2 constraint;
+  const std::vector<std::size_t> guards = {0, 1};
+  Rng rng(20140702);
+  const int trials = 4000;
+  int with_g1 = 0;
+  for (int i = 0; i < trials; ++i) {
+    const Circuit circuit = selector.BuildCircuit(guards, rng, &constraint);
+    if (circuit.guard == 0) {
+      ++with_g1;
+      EXPECT_EQ(circuit.exit, 5u);
+    }
+  }
+  // Binomial(4000, 0.2): sd 25.3; 4.5 sd either side.
+  const double expected = trials * 0.2;
+  const double sd = std::sqrt(trials * 0.2 * 0.8);
+  EXPECT_NEAR(with_g1, expected, 4.5 * sd);
+}
+
+TEST(PathSelector, RejectsNegativeOrNonFiniteMultipliers) {
+  const Consensus consensus = TestConsensus();
+  const PathSelector selector(consensus);
+  Rng rng(9);
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<double> multipliers(consensus.size(), 1.0);
+    multipliers[1] = bad;
+    EXPECT_THROW((void)selector.PickGuardSet(rng, multipliers), std::invalid_argument)
+        << bad;
+  }
+  const std::vector<double> misaligned(consensus.size() - 1, 1.0);
+  EXPECT_THROW((void)selector.PickGuardSet(rng, misaligned), std::invalid_argument);
+}
+
+TEST(PathSelector, ZeroWeightGuardsAreExhaustedNotInvalid) {
+  // No guard keeps a positive weight: the same runtime_error as too few
+  // guards, which callers catch as "this policy found no guard set".
+  const Consensus consensus = TestConsensus();
+  const PathSelector selector(consensus);
+  Rng rng(10);
+  const std::vector<double> zeros(consensus.size(), 0.0);
+  EXPECT_THROW((void)selector.PickGuardSet(rng, zeros), std::runtime_error);
+  // One positive-weight guard cannot fill a three-guard set.
+  std::vector<double> one(consensus.size(), 0.0);
+  one[3] = 1.0;
+  EXPECT_THROW((void)selector.PickGuardSet(rng, one), std::runtime_error);
 }
 
 TEST(PathSelector, SelectionProbabilities) {

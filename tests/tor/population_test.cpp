@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
-#include "tor/client.hpp"
+#include "support/scan_reference.hpp"
 #include "tor/path_selection.hpp"
 
 namespace quicksand::tor {
@@ -53,6 +54,16 @@ TEST(AliasTable, RejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW((void)AliasTable::Build({1, 2}, std::vector<double>{0.0, 0.0}),
                std::invalid_argument);
+  // NaN and infinite weights, and finite weights whose sum overflows.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double big = std::numeric_limits<double>::max();
+  EXPECT_THROW((void)AliasTable::Build({1, 2}, std::vector<double>{1.0, nan}),
+               std::invalid_argument);
+  EXPECT_THROW((void)AliasTable::Build({1, 2}, std::vector<double>{inf, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)AliasTable::Build({1, 2}, std::vector<double>{big, big}),
+               std::invalid_argument);
   const AliasTable empty;
   Rng rng(1);
   EXPECT_THROW((void)empty.SampleSlot(rng), std::logic_error);
@@ -87,8 +98,9 @@ TEST(AliasTable, GuardDrawMatchesScanDistributionChiSquared) {
   EXPECT_LT(chi2, 16.27);
 }
 
-/// The same fit for the empirical scan distribution, and the two samplers
-/// against each other: both must draw from the same distribution.
+/// The alias sampler against the reference cumulative scan
+/// (tests/support/scan_reference.hpp): both must draw from the same
+/// distribution.
 TEST(SelectionCore, ScanAndAliasAgreeChiSquared) {
   const Consensus consensus = TestConsensus();
   const SelectionCore core(consensus, {});
@@ -97,7 +109,7 @@ TEST(SelectionCore, ScanAndAliasAgreeChiSquared) {
   Rng scan_rng(7);
   std::vector<int> scan_counts(consensus.size(), 0);
   for (int i = 0; i < trials; ++i) {
-    const auto pick = core.ScanPick(core.guards(), scan_rng, {}, {});
+    const auto pick = scan_reference::ScanPick(core, core.guards(), scan_rng, {});
     ASSERT_TRUE(pick.has_value());
     ++scan_counts[*pick];
   }
@@ -157,32 +169,39 @@ TEST(SelectionCore, AliasPickReturnsNulloptWhenNothingQualifies) {
   EXPECT_FALSE(pick.has_value());
 }
 
-/// The adapter seam: TorClient is a one-client ClientPopulation, so
-/// driving both from the same substream must yield identical guard sets,
-/// circuits, and rotation counts day by day.
+/// PathSelector and ClientPopulation call the same SelectionCore draws, so
+/// one client driven through PathSelector and a one-client population on
+/// the same substream yield identical guard sets, circuits, and rotation
+/// counts day by day.
 TEST(ClientPopulation, ScalarAdapterEquivalenceForOneClient) {
   const Consensus consensus = TestConsensus();
   const PathSelector selector(consensus);
   const std::int64_t lifetime = 10 * netbase::duration::kDay;
 
   const Rng substream(20140809);
-  ClientConfig client_config;
-  client_config.guard_lifetime_s = lifetime;
-  TorClient client(42, selector, substream, client_config);
+  Rng scalar_rng = substream;
+  std::vector<std::size_t> guards = selector.PickGuardSet(scalar_rng);
+  std::int64_t guards_since = 0;
+  std::uint64_t scalar_rotations = 0;
   ClientPopulation population(selector, PopulationConfig{lifetime}, {0},
                               {substream});
 
-  EXPECT_EQ(client.guard_set(), population.GuardSetOf(0));
+  EXPECT_EQ(guards, population.GuardSetOf(0));
   std::vector<Circuit> batch(1);
   for (int day = 0; day < 40; ++day) {
     const netbase::SimTime now{day * netbase::duration::kDay};
-    const Circuit scalar = client.Connect(now);
+    if (now.seconds - guards_since >= lifetime) {
+      guards = selector.PickGuardSet(scalar_rng);
+      guards_since = now.seconds;
+      ++scalar_rotations;
+    }
+    const Circuit scalar = selector.BuildCircuit(guards, scalar_rng);
     population.RotateExpired(now);
     population.BuildCircuits(batch);
     ASSERT_EQ(scalar, batch[0]) << "day " << day;
-    ASSERT_EQ(client.guard_set(), population.GuardSetOf(0)) << "day " << day;
+    ASSERT_EQ(guards, population.GuardSetOf(0)) << "day " << day;
   }
-  EXPECT_EQ(client.rotations(), static_cast<std::size_t>(population.rotations()));
+  EXPECT_EQ(scalar_rotations, population.rotations());
   EXPECT_GT(population.rotations(), 0u);  // 40 days, 10-day lifetime
 }
 
@@ -263,6 +282,88 @@ TEST(ClientPopulation, CircuitsSatisfyInvariantsAndConstraint) {
     }
   }
   EXPECT_EQ(population.circuits_built(), 200u);
+}
+
+// One simulated Tor client is a one-client ClientPopulation; these pin the
+// per-client guard behaviour Section 2 relies on.
+
+Consensus ClientTestConsensus() {
+  std::vector<Relay> relays;
+  auto add = [&](const char* nick, std::uint8_t b, std::uint32_t bw, RelayFlags flags) {
+    relays.push_back({nick, Ipv4Address(10, b, 0, 1), 9001, bw,
+                      flags | RelayFlag::kRunning});
+  };
+  for (std::uint8_t i = 1; i <= 6; ++i) {
+    add(("g" + std::to_string(i)).c_str(), i, 1000,
+        static_cast<RelayFlags>(RelayFlag::kGuard));
+  }
+  add("e1", 50, 1000, static_cast<RelayFlags>(RelayFlag::kExit));
+  add("e2", 51, 1000, static_cast<RelayFlags>(RelayFlag::kExit));
+  add("m1", 60, 1000, 0);
+  add("m2", 61, 1000, 0);
+  return Consensus(netbase::SimTime{0}, std::move(relays));
+}
+
+ClientPopulation OneClient(const PathSelector& selector, std::uint32_t as_id, Rng rng,
+                           std::int64_t lifetime = 30 * netbase::duration::kDay) {
+  return ClientPopulation(selector, PopulationConfig{lifetime}, {as_id}, {rng});
+}
+
+TEST(TorClient, HoldsGuardSetOfConfiguredSize) {
+  const Consensus consensus = ClientTestConsensus();
+  const PathSelector selector(consensus);
+  const ClientPopulation client = OneClient(selector, 65001, Rng(1));
+  EXPECT_EQ(client.GuardSetOf(0).size(), 3u);
+  EXPECT_EQ(client.client_as_ids()[0], 65001u);
+  EXPECT_EQ(client.rotations(), 0u);
+}
+
+TEST(TorClient, GuardSetStableWithinLifetime) {
+  const Consensus consensus = ClientTestConsensus();
+  const PathSelector selector(consensus);
+  ClientPopulation client = OneClient(selector, 65001, Rng(2));
+  const auto guards = client.GuardSetOf(0);
+  // Many connections inside the lifetime: guards unchanged.
+  std::vector<Circuit> circuit(1);
+  for (int day = 0; day < 29; ++day) {
+    client.RotateExpired(netbase::SimTime{day * netbase::duration::kDay});
+    client.BuildCircuits(circuit);
+  }
+  EXPECT_EQ(client.GuardSetOf(0), guards);
+  EXPECT_EQ(client.rotations(), 0u);
+}
+
+TEST(TorClient, GuardSetRotatesAfterLifetime) {
+  const Consensus consensus = ClientTestConsensus();
+  const PathSelector selector(consensus);
+  ClientPopulation client =
+      OneClient(selector, 65001, Rng(3), 10 * netbase::duration::kDay);
+  EXPECT_EQ(client.RotateExpired(netbase::SimTime{9 * netbase::duration::kDay}), 0u);
+  EXPECT_EQ(client.RotateExpired(netbase::SimTime{10 * netbase::duration::kDay}), 1u);
+  EXPECT_EQ(client.rotations(), 1u);
+}
+
+TEST(TorClient, CircuitsUseOwnGuardSet) {
+  const Consensus consensus = ClientTestConsensus();
+  const PathSelector selector(consensus);
+  ClientPopulation client = OneClient(selector, 65001, Rng(4));
+  const auto guards = client.GuardSetOf(0);
+  std::vector<Circuit> circuit(1);
+  for (int i = 0; i < 50; ++i) {
+    client.BuildCircuits(circuit);
+    EXPECT_NE(std::find(guards.begin(), guards.end(), circuit[0].guard), guards.end());
+    EXPECT_NO_THROW(ValidateCircuit(circuit[0], consensus));
+  }
+}
+
+TEST(TorClient, DifferentSeedsDifferentGuardSets) {
+  const Consensus consensus = ClientTestConsensus();
+  const PathSelector selector(consensus);
+  const ClientPopulation a = OneClient(selector, 1, Rng(10));
+  const ClientPopulation b = OneClient(selector, 2, Rng(20));
+  // With 6 guards and 3 chosen, identical sets across seeds are unlikely;
+  // this guards against accidentally shared RNG state.
+  EXPECT_NE(a.GuardSetOf(0), b.GuardSetOf(0));
 }
 
 }  // namespace
