@@ -127,6 +127,17 @@ inline std::vector<bgp::feed::UpdateRec> ParseWireRecords(
   return bgp::feed::Drain(stream);
 }
 
+/// Interns `updates` into `table` in order (feed::ToRecord per update):
+/// the record-plane form of a generated feed or RIB. A RIB and the
+/// updates it is compared against must intern into the same table.
+inline std::vector<bgp::feed::UpdateRec> InternRecords(
+    bgp::feed::AsPathTable& table, const std::vector<bgp::BgpUpdate>& updates) {
+  std::vector<bgp::feed::UpdateRec> records;
+  records.reserve(updates.size());
+  for (const bgp::BgpUpdate& u : updates) records.push_back(bgp::feed::ToRecord(u, table));
+  return records;
+}
+
 /// Round-trip check without materializing: true iff `records` under
 /// `table` denote exactly `updates` — every scalar field equal and every
 /// record's interned path resolving to the update's hop vector.

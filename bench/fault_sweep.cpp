@@ -5,8 +5,8 @@
 // point faulted at once:
 //
 //   WriteStream → CorruptText → lenient ParseStream (chunk boundaries
-//   split lines mid-record) → PerturbStream → SanitizeFeed →
-//   AnalyzeChurn + RelayMonitor::ConsumeStream (plus one retried
+//   split lines mid-record) → PerturbStream → SanitizeRecords →
+//   AnalyzeChurnStream + RelayMonitor::ConsumeStream (plus one retried
 //   write/read cycle through the injector's I/O wrapper)
 //
 // and the sweep records what was dropped, retried, and alerted alongside
@@ -53,7 +53,7 @@ struct SweepPoint {
   double rate = 0;
   bgp::mrt::ParseStats parse;
   fault::StreamFaultStats stream;
-  std::size_t sanitized_updates = 0;  ///< |SanitizeFeed(...).updates|
+  std::size_t sanitized_updates = 0;  ///< |SanitizeRecords(...).updates|
   std::uint64_t feed_hash = 0;        ///< Fingerprint64 of the feed's MRT text
   std::size_t churn_dropped = 0;
   std::size_t io_retries = 0;
@@ -154,15 +154,22 @@ SweepPoint RunSweepPoint(const bench::Scenario& scenario,
     throw std::runtime_error("fault_sweep: retried I/O lost records");
   }
 
-  // Degraded-but-standing analysis.
-  const bgp::SanitizedFeed feed =
-      bgp::SanitizeFeed(dynamics.initial_rib, std::move(stream.updates));
+  // Degraded-but-standing analysis, on the record plane.
+  const auto table = std::make_shared<bgp::feed::AsPathTable>();
+  const std::vector<bgp::feed::UpdateRec> rib =
+      bench::InternRecords(*table, dynamics.initial_rib);
+  const bgp::SanitizedRecords feed =
+      bgp::SanitizeRecords(rib, bench::InternRecords(*table, stream.updates));
   point.sanitized_updates = feed.updates.size();
-  point.feed_hash = ckpt::Fingerprint64(bgp::mrt::ToText(feed.updates));
+  std::ostringstream feed_text;
+  bgp::mrt::WriteStream(feed_text, bgp::feed::FromRecords(table, feed.updates));
+  point.feed_hash = ckpt::Fingerprint64(feed_text.str());
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = kWindow;
-  const bgp::ChurnAnalyzer analyzer = bgp::AnalyzeChurn(
-      dynamics.initial_rib, feed.updates, churn_params, threads);
+  const bgp::ChurnAnalyzer analyzer =
+      bgp::AnalyzeChurnStream(bgp::feed::FromRecords(table, rib),
+                              bgp::feed::FromRecords(table, feed.updates), churn_params,
+                              threads);
   point.churn_dropped = analyzer.DroppedOutOfOrder();
   const auto ratios = analyzer.RatioToSessionMedian(
       scenario.prefix_map.TorPrefixes(scenario.consensus.consensus));
@@ -171,9 +178,9 @@ SweepPoint RunSweepPoint(const bench::Scenario& scenario,
 
   core::RelayMonitor monitor(
       scenario.prefix_map.TorPrefixes(scenario.consensus.consensus));
-  monitor.LearnBaseline(dynamics.initial_rib);
-  bgp::feed::UpdateStream monitor_feed =
-      bgp::feed::FromVector(std::make_shared<bgp::feed::AsPathTable>(), feed.updates);
+  bgp::feed::UpdateStream baseline = bgp::feed::FromRecords(table, rib);
+  monitor.LearnBaselineStream(baseline);
+  bgp::feed::UpdateStream monitor_feed = bgp::feed::FromRecords(table, feed.updates);
   (void)monitor.ConsumeStream(monitor_feed);
   point.alerts = monitor.AlertCounts().total();
   point.alerts_suppressed = monitor.SuppressedDuplicates();
@@ -236,8 +243,8 @@ int main(int argc, char** argv) {
   // exactly the injector-free pipeline (compared by sanitized-feed hash so
   // the check also holds for a resumed, checkpoint-decoded point). The
   // injector-free reference deliberately uses the *whole-text* parser and
-  // the *materialized* sanitizer, so the check also pins the sweep's
-  // streaming serialize/parse legs to the classic path.
+  // the bulk SanitizeRecords call, so the check also pins the sweep's
+  // streaming serialize/parse legs and the sanitizer's stage form to it.
   {
     // The incremental writer must have produced exactly ToText.
     if (text != bgp::mrt::ToText(dynamics.updates)) {
@@ -261,9 +268,13 @@ int main(int argc, char** argv) {
       std::cerr << "FAIL: --format wire round trip diverged from the text archive\n";
       return 1;
     }
-    const bgp::SanitizedFeed clean = bgp::SanitizeFeed(dynamics.initial_rib, clean_parsed);
-    const std::uint64_t clean_hash =
-        ckpt::Fingerprint64(bgp::mrt::ToText(clean.updates));
+    const auto clean_table = std::make_shared<bgp::feed::AsPathTable>();
+    const bgp::SanitizedRecords clean =
+        bgp::SanitizeRecords(bench::InternRecords(*clean_table, dynamics.initial_rib),
+                             bench::InternRecords(*clean_table, clean_parsed));
+    std::ostringstream clean_text;
+    bgp::mrt::WriteStream(clean_text, bgp::feed::FromRecords(clean_table, clean.updates));
+    const std::uint64_t clean_hash = ckpt::Fingerprint64(clean_text.str());
     // The sanitizer's stage form re-emits the same cleaned feed.
     {
       const bgp::feed::FeedStage sanitize_stage = bgp::SanitizeStage(dynamics.initial_rib);
@@ -272,7 +283,7 @@ int main(int argc, char** argv) {
           staged, sanitize_stage(bgp::mrt::ParseStream(
                       std::make_shared<bgp::feed::AsPathTable>(), text)));
       if (ckpt::Fingerprint64(staged.str()) != clean_hash) {
-        std::cerr << "FAIL: SanitizeStage output differs from SanitizeFeed\n";
+        std::cerr << "FAIL: SanitizeStage output differs from SanitizeRecords\n";
         return 1;
       }
     }

@@ -280,15 +280,19 @@ int main(int argc, char** argv) {
     });
   }
 
-  const bgp::SanitizedFeed feed = ctx.Timed("sanitize", [&] {
-    return bgp::SanitizeFeed(dynamics.initial_rib, std::move(feed_updates));
+  const auto paths = std::make_shared<bgp::feed::AsPathTable>();
+  const std::vector<bgp::feed::UpdateRec> rib =
+      bench::InternRecords(*paths, dynamics.initial_rib);
+  const bgp::SanitizedRecords feed = ctx.Timed("sanitize", [&] {
+    return bgp::SanitizeRecords(rib, bench::InternRecords(*paths, feed_updates));
   });
 
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = window;
   const bgp::ChurnAnalyzer churn = ctx.Timed("churn", [&] {
-    return bgp::AnalyzeChurn(dynamics.initial_rib, feed.updates, churn_params,
-                             ctx.threads());
+    return bgp::AnalyzeChurnStream(bgp::feed::FromRecords(paths, rib),
+                                   bgp::feed::FromRecords(paths, feed.updates),
+                                   churn_params, ctx.threads());
   });
 
   // Countermeasure leg: the monitor watches every originated prefix
@@ -304,9 +308,9 @@ int main(int argc, char** argv) {
         monitored.insert(origin.prefix);
       }
       core::RelayMonitor monitor(std::move(monitored));
-      monitor.LearnBaseline(dynamics.initial_rib);
-      for (const bgp::BgpUpdate& update : feed.updates) {
-        for (const core::Alert& alert : monitor.Consume(update)) {
+      for (const bgp::feed::UpdateRec& rec : rib) monitor.LearnRecord(rec, *paths);
+      for (const bgp::feed::UpdateRec& rec : feed.updates) {
+        for (const core::Alert& alert : monitor.ConsumeRecord(rec, *paths)) {
           if (axes.attack != "none" && alert.announced_prefix == announced_prefix) {
             attack_detected = 1;
           }

@@ -41,20 +41,6 @@ std::vector<bgp::AsNumber> UnionPath(core::ExposureAnalyzer& analyzer,
   return all;
 }
 
-bool Intersects(const std::vector<bgp::AsNumber>& sorted_a,
-                const std::vector<bgp::AsNumber>& sorted_b) {
-  std::size_t i = 0, j = 0;
-  while (i < sorted_a.size() && j < sorted_b.size()) {
-    if (sorted_a[i] == sorted_b[j]) return true;
-    if (sorted_a[i] < sorted_b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -74,16 +60,21 @@ int main(int argc, char** argv) {
   // weight multipliers.
   const bgp::GeneratedDynamics advisory_dynamics =
       ctx.Timed("advisory_dynamics", [&] { return bench::MakeMonthOfDynamics(scenario, ctx.threads()); });
-  const auto advisory_filtered =
-      bgp::FilterSessionResets(advisory_dynamics.initial_rib, advisory_dynamics.updates);
+  bgp::feed::AsPathTable advisory_paths;
+  const std::vector<bgp::feed::UpdateRec> advisory_rib =
+      bench::InternRecords(advisory_paths, advisory_dynamics.initial_rib);
+  const bgp::FilteredRecords advisory_filtered = bgp::FilterSessionRecords(
+      advisory_rib, bench::InternRecords(advisory_paths, advisory_dynamics.updates));
   bgp::ChurnAnalyzer advisory_churn;
-  advisory_churn.ConsumeInitialRib(advisory_dynamics.initial_rib);
   core::RelayMonitor advisory_monitor(
       scenario.prefix_map.TorPrefixes(consensus));
-  advisory_monitor.LearnBaseline(advisory_dynamics.initial_rib);
-  for (const bgp::BgpUpdate& update : advisory_filtered.updates) {
-    advisory_churn.Consume(update);
-    (void)advisory_monitor.Consume(update);
+  for (const bgp::feed::UpdateRec& rec : advisory_rib) {
+    advisory_churn.ConsumeRecord(rec, advisory_paths);
+    advisory_monitor.LearnRecord(rec, advisory_paths);
+  }
+  for (const bgp::feed::UpdateRec& rec : advisory_filtered.updates) {
+    advisory_churn.ConsumeRecord(rec, advisory_paths);
+    (void)advisory_monitor.ConsumeRecord(rec, advisory_paths);
   }
   advisory_churn.Finish();
   core::RelayAdvisor advisor;
@@ -221,7 +212,6 @@ int main(int argc, char** argv) {
         }
         if (overlap > 0) ++compromised;
         observers += static_cast<double>(overlap);
-        (void)Intersects;
       }
       if (built == 0) continue;
       const double fraction = static_cast<double>(compromised) / static_cast<double>(built);

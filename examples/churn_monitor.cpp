@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "bgp/churn.hpp"
 #include "bgp/collector.hpp"
@@ -46,15 +48,22 @@ int main() {
   // Archive to the textual MRT format and read it back (what a real
   // deployment ingesting RIS dumps would do).
   const std::string archive = "churn_monitor_updates.mrt";
+  // Records intern their paths into one table shared with the RIB.
   bgp::mrt::WriteFile(archive, dynamics.updates);
-  const auto replayed = bgp::mrt::ReadFile(archive);
+  const auto paths = std::make_shared<bgp::feed::AsPathTable>();
+  bgp::feed::UpdateStream archived = bgp::mrt::ParseFileStream(paths, archive);
+  std::vector<bgp::feed::UpdateRec> replayed = bgp::feed::Drain(archived);
   std::remove(archive.c_str());
   std::cout << "Replayed " << replayed.size() << " updates from " << archive
             << " (one simulated week, " << collectors.SessionCount()
             << " sessions)\n";
+  std::vector<bgp::feed::UpdateRec> rib;
+  for (const bgp::BgpUpdate& u : dynamics.initial_rib) {
+    rib.push_back(bgp::feed::ToRecord(u, *paths));
+  }
 
   // Clean and measure.
-  const auto filtered = bgp::FilterSessionResets(dynamics.initial_rib, replayed);
+  const bgp::FilteredRecords filtered = bgp::FilterSessionRecords(rib, std::move(replayed));
   std::cout << "Session-reset filter removed "
             << filtered.stats.burst_updates_removed + filtered.stats.duplicates_removed
             << " artifact updates (" << filtered.stats.bursts_detected << " bursts)\n";
@@ -62,14 +71,16 @@ int main() {
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = dynamics_params.window;
   bgp::ChurnAnalyzer churn(churn_params);
-  churn.ConsumeInitialRib(dynamics.initial_rib);
 
   // Run the churn analyzer and the attack monitor over the same stream.
   core::RelayMonitor monitor(tor_prefixes);
-  monitor.LearnBaseline(dynamics.initial_rib);
-  for (const bgp::BgpUpdate& update : filtered.updates) {
-    churn.Consume(update);
-    (void)monitor.Consume(update);
+  for (const bgp::feed::UpdateRec& rec : rib) {
+    churn.ConsumeRecord(rec, *paths);
+    monitor.LearnRecord(rec, *paths);
+  }
+  for (const bgp::feed::UpdateRec& rec : filtered.updates) {
+    churn.ConsumeRecord(rec, *paths);
+    (void)monitor.ConsumeRecord(rec, *paths);
   }
   churn.Finish();
 

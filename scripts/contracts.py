@@ -266,6 +266,16 @@ CONTRACTS = [
               *(identical(f"resume/{bench}/t1/full/{csv}",
                           f"resume/{bench}/t4/full/{csv}") for csv in csvs)))),
 
+    # Figure 3 (right) and Table 1 on the record plane: reset filter and
+    # churn partitions serial vs parallel; the dataset table validates.
+    Row("fig3_right/t1", "bench/fig3_right_extra_ases", ("--threads", "1", *JSON)),
+    Row("fig3_right/t4", "bench/fig3_right_extra_ases", ("--threads", "4", *JSON),
+        checks=(same("fig3_right/t1/run.json", "fig3_right/t4/run.json"),
+                identical("fig3_right/t1/fig3_right.csv",
+                          "fig3_right/t4/fig3_right.csv"))),
+    Row("table1", "bench/table1_dataset_stats", JSON,
+        checks=(valid("table1/run.json"),)),
+
     # Section 5 relay selection: serial vs parallel pair evaluation.
     Row("sec5/t1", "bench/sec5_countermeasures", ("--threads", "1", *JSON)),
     Row("sec5/t4", "bench/sec5_countermeasures", ("--threads", "4", *JSON),

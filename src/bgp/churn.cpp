@@ -1,6 +1,7 @@
 #include "bgp/churn.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -10,23 +11,6 @@
 #include "util/stats.hpp"
 
 namespace quicksand::bgp {
-
-void ChurnAnalyzer::ConsumeInitialRib(std::span<const BgpUpdate> rib) {
-  for (const BgpUpdate& update : rib) Consume(update);
-}
-
-void ChurnAnalyzer::Consume(const BgpUpdate& update) {
-  if (update.type == UpdateType::kAnnounce) {
-    // Interning hoists the distinct-AS sort/dedup: a repeated path reuses
-    // the precomputed sorted set and hashes.
-    const feed::PathId id = paths_.Intern(update.path);
-    ConsumeImpl(update.time.seconds, update.session, update.prefix, update.type,
-                &paths_.SortedSet(id), paths_.SetHash(id), paths_.PathHash(id));
-  } else {
-    ConsumeImpl(update.time.seconds, update.session, update.prefix, update.type,
-                nullptr, 0, 0);
-  }
-}
 
 void ChurnAnalyzer::ConsumeRecord(const feed::UpdateRec& rec,
                                   const feed::AsPathTable& table) {
@@ -134,30 +118,41 @@ void ChurnAnalyzer::CloseIntervals(State& state, std::int64_t now,
   }
 }
 
+template <typename Visit>
+bool ChurnAnalyzer::AnyPrefixState(const netbase::Prefix& prefix, Visit visit) const {
+  auto it = states_.begin();
+  while (it != states_.end()) {
+    const SessionId session = it->first.session;
+    it = states_.lower_bound(SessionPrefixKey{session, prefix});
+    if (it != states_.end() && it->first.session == session &&
+        it->first.prefix == prefix && visit(it->second)) {
+      return true;
+    }
+    if (session == std::numeric_limits<SessionId>::max()) break;
+    it = states_.lower_bound(SessionPrefixKey{session + 1, netbase::Prefix{}});
+  }
+  return false;
+}
+
 std::vector<AsNumber> ChurnAnalyzer::CurrentOnPathAses(
     const netbase::Prefix& prefix) const {
   std::vector<AsNumber> out;
-  // states_ is keyed (session, prefix): scan every session's entry for
-  // this prefix. Sessions are few (tens), so the scan is the whole map;
-  // the daemon additionally answers only a handful of prefixes per query.
-  for (const auto& [key, state] : states_) {
-    if (key.prefix != prefix || state.withdrawn) continue;
-    out.insert(out.end(), state.last_announced.begin(), state.last_announced.end());
-  }
+  AnyPrefixState(prefix, [&out](const State& state) {
+    if (!state.withdrawn) {
+      out.insert(out.end(), state.last_announced.begin(), state.last_announced.end());
+    }
+    return false;
+  });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 bool ChurnAnalyzer::IsOnPath(AsNumber as, const netbase::Prefix& prefix) const {
-  for (const auto& [key, state] : states_) {
-    if (key.prefix != prefix || state.withdrawn) continue;
-    if (std::binary_search(state.last_announced.begin(), state.last_announced.end(),
-                           as)) {
-      return true;
-    }
-  }
-  return false;
+  return AnyPrefixState(prefix, [as](const State& state) {
+    return !state.withdrawn && std::binary_search(state.last_announced.begin(),
+                                                  state.last_announced.end(), as);
+  });
 }
 
 void ChurnAnalyzer::Finish() {

@@ -15,11 +15,10 @@
 //     shorter appearances are "unlikely that an attack can be performed".
 //
 // The analyzer is streaming: feed it the initial RIB, then time-ordered
-// updates, then Finish(). It consumes either materialized `BgpUpdate`s or
-// compact interned records straight off a `feed::UpdateStream` — the
-// distinct-AS sort/dedup runs once per interned path, not once per update
-// (docs/ARCHITECTURE.md). Results back Figure 3 (left and right) and the
-// dataset statistics of Section 4.
+// updates, then Finish(). It consumes compact interned records straight
+// off a `feed::UpdateStream` — the distinct-AS sort/dedup runs once per
+// interned path, not once per update (docs/ARCHITECTURE.md). Results back
+// Figure 3 (left and right) and the dataset statistics of Section 4.
 
 #include <cstdint>
 #include <limits>
@@ -97,25 +96,20 @@ class ChurnAnalyzer {
  public:
   explicit ChurnAnalyzer(ChurnParams params = {}) : params_(params) {}
 
-  /// Feeds the t=0 table (each entry is the baseline announcement).
-  void ConsumeInitialRib(std::span<const BgpUpdate> rib);
-
-  /// Feeds one update; calls should be time-ordered. An update whose
-  /// timestamp precedes the newest one already seen for its (session,
-  /// prefix) is dropped rather than corrupting interval bookkeeping —
-  /// the count is exposed via DroppedOutOfOrder() and the
+  /// Feeds one compact record whose path id indexes `table`. The initial
+  /// RIB goes first (each entry is the baseline announcement), then the
+  /// updates; calls should be time-ordered. An update whose timestamp
+  /// precedes the newest one already seen for its (session, prefix) is
+  /// dropped rather than corrupting interval bookkeeping — the count is
+  /// exposed via DroppedOutOfOrder() and the
   /// `bgp.churn.dropped_out_of_order` counter (graceful degradation on
   /// lossy/reordered feeds; see docs/ROBUSTNESS.md).
   /// Throws std::logic_error if called after Finish().
   ///
-  /// Interns the path into a private AsPathTable, so repeated paths skip
-  /// the distinct-AS sort/dedup; each skip counts toward the
-  /// `bgp.churn.path_set_cache_hits` counter (registered only once a hit
-  /// actually occurs).
-  void Consume(const BgpUpdate& update);
-
-  /// Feeds one compact record whose path id indexes `table`. Identical
-  /// semantics (and metric behavior) to Consume on the materialized form.
+  /// The table precomputes each path's distinct-AS set, so repeated paths
+  /// skip the sort/dedup; each announce of an already-seen path counts
+  /// toward the `bgp.churn.path_set_cache_hits` counter (registered only
+  /// once a hit actually occurs).
   void ConsumeRecord(const feed::UpdateRec& rec, const feed::AsPathTable& table);
 
   /// Drains `stream`, feeding every record through ConsumeRecord.
@@ -133,7 +127,7 @@ class ChurnAnalyzer {
   /// to `prefix` *right now*. Sorted ascending. Withdrawn (session,
   /// prefix) states contribute nothing. This is the exposure surface the
   /// resident daemon serves ("exposure of client AS X to relay set Y
-  /// now") without re-running batch analysis.
+  /// now") without re-running batch analysis. O(sessions · log states).
   [[nodiscard]] std::vector<AsNumber> CurrentOnPathAses(
       const netbase::Prefix& prefix) const;
 
@@ -209,14 +203,18 @@ class ChurnAnalyzer {
   void Withdraw(State& state, std::int64_t now);
   void CloseIntervals(State& state, std::int64_t now,
                       const std::vector<AsNumber>* keep_sorted);
+  /// Calls `visit(state)` on every session's state for `prefix` until a
+  /// call returns true; returns whether one did. A skip-scan over the
+  /// (session, prefix)-ordered map: one probe per session, then a jump
+  /// to the next session's first key.
+  template <typename Visit>
+  bool AnyPrefixState(const netbase::Prefix& prefix, Visit visit) const;
 
   ChurnParams params_;
-  /// Intern pool backing the materialized Consume adapter.
-  feed::AsPathTable paths_;
   /// Hop-content hashes of every announced path this analyzer has seen —
   /// an announce whose hash is already present skipped the sort/dedup
   /// (bgp.churn.path_set_cache_hits). Keyed on the table-independent
-  /// content hash so materialized and streamed consumption count alike.
+  /// content hash so consumers on separate tables count alike.
   std::unordered_set<std::uint64_t> seen_path_hashes_;
   std::map<SessionPrefixKey, State> states_;
   mutable std::map<SessionPrefixKey, SessionPrefixChurn> results_;

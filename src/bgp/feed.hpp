@@ -25,9 +25,12 @@
 // Determinism contract: a stream's *content* (the concatenation of its
 // batches) never depends on batch size or thread count; only the
 // reserved `feed.*` metrics (batch counts, peak residency, intern
-// telemetry) may vary. Materialized `std::vector<BgpUpdate>` APIs
-// elsewhere in the codebase are thin adapters over this layer and keep
-// their output bit-for-bit (docs/ARCHITECTURE.md).
+// telemetry) may vary.
+//
+// `UpdateRec` + `AsPathTable` is the only pipeline type: the parser, the
+// reset filter, the sanitizer, the churn analyzer and the binary encoder
+// take records. The `std::vector<BgpUpdate>` APIs that remain are
+// adapters over them (docs/ARCHITECTURE.md, "Adapters, not forks").
 
 #include <cstdint>
 #include <deque>

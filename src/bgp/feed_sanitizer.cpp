@@ -8,27 +8,6 @@
 
 namespace quicksand::bgp {
 
-SanitizedFeed SanitizeFeed(const std::vector<BgpUpdate>& initial_rib,
-                           std::vector<BgpUpdate> updates, const SanitizerParams& params) {
-  const obs::ScopedSpan span("bgp.sanitize_feed");
-  SanitizedFeed result;
-  if (params.repair_ordering) {
-    for (std::size_t i = 1; i < updates.size(); ++i) {
-      if (updates[i].time < updates[i - 1].time) ++result.out_of_order_repaired;
-    }
-    if (result.out_of_order_repaired > 0) {
-      SortUpdates(updates);
-      obs::MetricsRegistry::Global()
-          .GetCounter("bgp.sanitizer.out_of_order_repaired")
-          .Increment(result.out_of_order_repaired);
-    }
-  }
-  FilteredUpdates filtered = FilterSessionResets(initial_rib, updates, params.reset);
-  result.updates = std::move(filtered.updates);
-  result.reset_stats = filtered.stats;
-  return result;
-}
-
 SanitizedRecords SanitizeRecords(const std::vector<feed::UpdateRec>& initial_rib,
                                  std::vector<feed::UpdateRec> updates,
                                  const SanitizerParams& params) {

@@ -10,7 +10,7 @@
 //      canonical (time, session, prefix) order instead of aborting the
 //      analysis;
 //   2. session-reset filtering — duplicate announcements and
-//      table-transfer bursts are removed (FilterSessionResets, after
+//      table-transfer bursts are removed (FilterSessionRecords, after
 //      Zhang et al.), which also collapses the resync bursts a flapping
 //      session emits on recovery.
 //
@@ -30,25 +30,10 @@ namespace quicksand::bgp {
 
 struct SanitizerParams {
   ResetFilterParams reset;
-  /// When false, out-of-order input throws (FilterSessionResets's strict
-  /// historical behavior) instead of being repaired.
+  /// When false, out-of-order input throws (FilterSessionRecords's strict
+  /// behavior) instead of being repaired.
   bool repair_ordering = true;
 };
-
-/// A cleaned stream plus everything the sanitizer did to it.
-struct SanitizedFeed {
-  std::vector<BgpUpdate> updates;
-  ResetFilterStats reset_stats;
-  /// Input adjacencies that violated time order and were repaired.
-  std::size_t out_of_order_repaired = 0;
-};
-
-/// Cleans `updates` against the t=0 table `initial_rib`. Metrics:
-/// `bgp.sanitizer.out_of_order_repaired` (registered only when a repair
-/// actually happened) plus the `bgp.reset_filter.*` family.
-[[nodiscard]] SanitizedFeed SanitizeFeed(const std::vector<BgpUpdate>& initial_rib,
-                                         std::vector<BgpUpdate> updates,
-                                         const SanitizerParams& params = {});
 
 /// A cleaned record stream plus everything the sanitizer did to it.
 struct SanitizedRecords {
@@ -58,11 +43,12 @@ struct SanitizedRecords {
   std::size_t out_of_order_repaired = 0;
 };
 
-/// Record-plane SanitizeFeed: ordering repair (SortRecords) followed by
-/// FilterSessionRecords, never touching a hop vector. REQUIRES that
-/// `initial_rib` and `updates` index the same AsPathTable (see
-/// FilterSessionRecords). Emits the record sequence SanitizeFeed would
-/// emit on the materialized feed, with the same metrics.
+/// Cleans `updates` against the t=0 table `initial_rib`: ordering repair
+/// (SortRecords) followed by FilterSessionRecords, never touching a hop
+/// vector. REQUIRES that `initial_rib` and `updates` index the same
+/// AsPathTable (see FilterSessionRecords). Metrics:
+/// `bgp.sanitizer.out_of_order_repaired` (registered only when a repair
+/// actually happened) plus the `bgp.reset_filter.*` family.
 [[nodiscard]] SanitizedRecords SanitizeRecords(
     const std::vector<feed::UpdateRec>& initial_rib,
     std::vector<feed::UpdateRec> updates, const SanitizerParams& params = {});
@@ -77,11 +63,12 @@ struct SanitizeStageStats {
 /// The sanitizer as a composable feed stage. Ordering repair and reset
 /// filtering are whole-feed operations, so this is a documented
 /// drain-transform-re-emit stage: on the first pull of its output it
-/// drains the upstream, runs SanitizeFeed, and re-emits the cleaned feed
-/// in `batch_size` chunks on the upstream's AsPathTable. It bounds
-/// hand-off batch sizes, not total residency (docs/ARCHITECTURE.md).
-/// Output content is identical to the materialized SanitizeFeed for every
-/// batch size; `stats`, when set, receives the sanitizer statistics.
+/// drains the upstream, interns `initial_rib` into the upstream's
+/// AsPathTable, runs SanitizeRecords, and re-emits the cleaned feed in
+/// `batch_size` chunks. It bounds hand-off batch sizes, not total
+/// residency (docs/ARCHITECTURE.md). Output content is identical to
+/// SanitizeRecords for every batch size; `stats`, when set, receives the
+/// sanitizer statistics.
 [[nodiscard]] feed::FeedStage SanitizeStage(
     std::vector<BgpUpdate> initial_rib, SanitizerParams params = {},
     std::shared_ptr<SanitizeStageStats> stats = nullptr,

@@ -18,9 +18,6 @@ namespace {
 /// megabyte garbage line from producing a megabyte exception string.
 constexpr std::size_t kMaxQuotedLine = 96;
 
-/// Bytes per read in the chunked file paths.
-constexpr std::size_t kFileChunkBytes = 64 * 1024;
-
 std::string QuoteForError(std::string_view line) {
   if (line.size() <= kMaxQuotedLine) return std::string(line);
   std::string out(line.substr(0, kMaxQuotedLine));
@@ -34,15 +31,9 @@ std::string DescribeBadLine(std::size_t line_number, std::string_view line) {
   return "line " + std::to_string(line_number) + ": '" + QuoteForError(line) + "'";
 }
 
-/// Upper bound on data lines, used to pre-reserve output vectors: one per
-/// newline, plus a possible unterminated final line.
-std::size_t LineCountBound(std::string_view text) {
-  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
-}
-
-}  // namespace
-
-std::string ToLine(const BgpUpdate& update) {
+/// The line form of an update or record whose AS-path is `path`.
+template <typename Update>
+std::string FormatLine(const Update& update, const AsPath& path) {
   std::string out = std::to_string(update.time.seconds);
   out += '|';
   out += std::to_string(update.session);
@@ -51,9 +42,13 @@ std::string ToLine(const BgpUpdate& update) {
   out += '|';
   out += update.prefix.ToString();
   out += '|';
-  if (update.type == UpdateType::kAnnounce) out += update.path.ToString();
+  if (update.type == UpdateType::kAnnounce) out += path.ToString();
   return out;
 }
+
+}  // namespace
+
+std::string ToLine(const BgpUpdate& update) { return FormatLine(update, update.path); }
 
 std::optional<BgpUpdate> ParseLine(std::string_view line) {
   // Split into exactly five '|'-separated fields.
@@ -116,14 +111,15 @@ std::string ToText(const std::vector<BgpUpdate>& updates) {
   return out;
 }
 
-void StreamParser::ConsumeLine(std::string_view line, std::vector<BgpUpdate>& out) {
+StreamParser::StreamParser(feed::AsPathTable& table) : StreamParser(table, Options{}) {}
+
+void StreamParser::ConsumeLine(std::string_view line, std::vector<feed::UpdateRec>& out) {
   ++line_number_;
   if (line.empty() || line.front() == '#') return;
   ++stats_.total_lines;
-  auto update = ParseLine(line);
-  if (update) {
+  if (const std::optional<BgpUpdate> update = ParseLine(line)) {
     ++stats_.parsed;
-    out.push_back(std::move(*update));
+    out.push_back(feed::ToRecord(*update, *table_));
     return;
   }
   if (!options_.lenient) {
@@ -135,7 +131,7 @@ void StreamParser::ConsumeLine(std::string_view line, std::vector<BgpUpdate>& ou
   }
 }
 
-void StreamParser::Feed(std::string_view chunk, std::vector<BgpUpdate>& out) {
+void StreamParser::Feed(std::string_view chunk, std::vector<feed::UpdateRec>& out) {
   if (finished_) throw std::logic_error("mrt: StreamParser::Feed after Finish");
   std::size_t start = 0;
   while (true) {
@@ -156,7 +152,7 @@ void StreamParser::Feed(std::string_view chunk, std::vector<BgpUpdate>& out) {
   }
 }
 
-void StreamParser::Finish(std::vector<BgpUpdate>& out) {
+void StreamParser::Finish(std::vector<feed::UpdateRec>& out) {
   if (finished_) return;
   finished_ = true;
   if (!pending_.empty()) {
@@ -174,77 +170,54 @@ void StreamParser::Finish(std::vector<BgpUpdate>& out) {
   }
 }
 
-std::vector<BgpUpdate> ParseText(std::string_view text) {
-  std::vector<BgpUpdate> out;
-  out.reserve(LineCountBound(text));
-  StreamParser parser;
-  parser.Feed(text, out);
-  parser.Finish(out);
-  return out;
-}
-
-LenientParse ParseTextLenient(std::string_view text, std::size_t max_recorded_errors) {
-  LenientParse result;
-  result.updates.reserve(LineCountBound(text));
-  StreamParser parser({.lenient = true, .max_recorded_errors = max_recorded_errors});
-  parser.Feed(text, result.updates);
-  parser.Finish(result.updates);
-  result.stats = parser.stats();
-  return result;
-}
-
 namespace {
 
 /// Pull-side state shared by ParseStream and ParseFileStream: a chunk
-/// producer feeds the incremental parser until a full batch of records is
-/// available (or input ends), so resident parsed-but-unemitted updates
-/// stay bounded by batch_size + one chunk's worth.
+/// producer feeds the incremental parser straight into the outgoing batch
+/// until it holds a full batch of records (or input ends). Records the
+/// last chunk parsed past the batch boundary carry over to open the next
+/// batch, so every batch but the last holds exactly batch_size records
+/// and residency stays bounded by batch_size + one chunk's worth.
 feed::UpdateStream MakeParserStream(std::shared_ptr<feed::AsPathTable> table,
                                     const ParseStreamOptions& options,
                                     std::function<bool(std::string&)> next_chunk) {
   struct State {
+    State(feed::AsPathTable& table, StreamParser::Options options)
+        : parser(table, options) {}
     StreamParser parser;
     std::function<bool(std::string&)> next_chunk;
     std::string chunk;
-    std::vector<BgpUpdate> parsed;  ///< parsed but not yet emitted
-    std::size_t next = 0;
+    std::vector<feed::UpdateRec> carry;  ///< parsed past the last batch
     bool input_done = false;
     std::shared_ptr<ParseStats> stats_out;
   };
-  auto state = std::make_shared<State>();
-  state->parser = StreamParser(
-      {.lenient = options.lenient, .max_recorded_errors = options.max_recorded_errors});
+  auto state = std::make_shared<State>(
+      *table, StreamParser::Options{.lenient = options.lenient,
+                                    .max_recorded_errors = options.max_recorded_errors});
   state->next_chunk = std::move(next_chunk);
   state->stats_out = options.stats;
   const std::size_t batch_size =
       options.batch_size == 0 ? feed::kDefaultBatchSize : options.batch_size;
 
-  feed::AsPathTable* raw_table = table.get();
   return feed::UpdateStream(
       std::move(table),
-      [state = std::move(state), raw_table, batch_size](std::vector<feed::UpdateRec>& out) {
-        // Drop the already-emitted prefix so the buffer stays bounded.
-        if (state->next > 0) {
-          state->parsed.erase(state->parsed.begin(),
-                              state->parsed.begin() + static_cast<std::ptrdiff_t>(state->next));
-          state->next = 0;
-        }
-        while (!state->input_done && state->parsed.size() < batch_size) {
+      [state = std::move(state), batch_size](std::vector<feed::UpdateRec>& out) {
+        out.swap(state->carry);
+        while (!state->input_done && out.size() < batch_size) {
           if (state->next_chunk(state->chunk)) {
-            state->parser.Feed(state->chunk, state->parsed);
+            state->parser.Feed(state->chunk, out);
           } else {
-            state->parser.Finish(state->parsed);
+            state->parser.Finish(out);
             state->input_done = true;
             if (state->stats_out) *state->stats_out = state->parser.stats();
           }
         }
-        if (state->next >= state->parsed.size()) return false;
-        const std::size_t end = std::min(state->next + batch_size, state->parsed.size());
-        out.reserve(end - state->next);
-        for (; state->next < end; ++state->next) {
-          out.push_back(feed::ToRecord(state->parsed[state->next], *raw_table));
+        if (out.size() > batch_size) {
+          state->carry.assign(out.begin() + static_cast<std::ptrdiff_t>(batch_size),
+                              out.end());
+          out.resize(batch_size);
         }
-        return true;
+        return !out.empty();
       });
 }
 
@@ -292,7 +265,8 @@ void StreamWriter::Write(const BgpUpdate& update) {
 }
 
 void StreamWriter::Write(const feed::UpdateRec& rec, const feed::AsPathTable& table) {
-  Write(feed::ToBgpUpdate(rec, table));
+  *out_ << FormatLine(rec, table.Path(rec.path)) << '\n';
+  ++written_;
 }
 
 std::size_t WriteStream(std::ostream& out, feed::UpdateStream stream) {
@@ -317,29 +291,24 @@ void WriteFile(const std::string& path, const std::vector<BgpUpdate>& updates) {
   }
 }
 
+std::vector<BgpUpdate> ParseText(std::string_view text) {
+  return feed::Materialize(ParseStream(std::make_shared<feed::AsPathTable>(), text));
+}
+
+LenientParse ParseTextLenient(std::string_view text, std::size_t max_recorded_errors) {
+  ParseStreamOptions options;
+  options.lenient = true;
+  options.max_recorded_errors = max_recorded_errors;
+  options.stats = std::make_shared<ParseStats>();
+  LenientParse result;
+  result.updates =
+      feed::Materialize(ParseStream(std::make_shared<feed::AsPathTable>(), text, options));
+  result.stats = *options.stats;
+  return result;
+}
+
 std::vector<BgpUpdate> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("mrt: cannot open '" + path + "': " + util::ErrnoDetail());
-  }
-  std::vector<BgpUpdate> out;
-  StreamParser parser;
-  std::string chunk;
-  while (true) {
-    chunk.resize(kFileChunkBytes);
-    in.read(chunk.data(), static_cast<std::streamsize>(kFileChunkBytes));
-    if (in.bad()) {
-      throw std::runtime_error("mrt: read failed for '" + path +
-                               "': " + util::ErrnoDetail());
-    }
-    const auto got = static_cast<std::size_t>(in.gcount());
-    if (got == 0) break;
-    chunk.resize(got);
-    parser.Feed(chunk, out);
-    if (got < kFileChunkBytes) break;  // short read: EOF reached
-  }
-  parser.Finish(out);
-  return out;
+  return feed::Materialize(ParseFileStream(std::make_shared<feed::AsPathTable>(), path));
 }
 
 }  // namespace quicksand::bgp::mrt

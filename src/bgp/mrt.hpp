@@ -19,10 +19,11 @@
 //
 // Both modes run on the incremental `StreamParser`, which accepts input
 // in arbitrary byte chunks (a chunk boundary may split a line mid-record)
-// and behaves identically to whole-text parsing. The whole-dump
-// ParseText / ParseTextLenient APIs are thin adapters over it, and
-// `ParseStream` exposes the parser as a chunked `feed::UpdateStream`
-// source (docs/ARCHITECTURE.md).
+// and emits compact `feed::UpdateRec` records into a caller's
+// AsPathTable. `ParseStream` / `ParseFileStream` expose it as a chunked
+// `feed::UpdateStream` source; the materialized ParseText /
+// ParseTextLenient / ReadFile APIs are `feed::Materialize` adapters over
+// those streams (docs/ARCHITECTURE.md).
 
 #include <iosfwd>
 #include <memory>
@@ -59,8 +60,10 @@ struct ParseStats {
 
 /// Incremental push parser: feed it byte chunks cut at ANY boundary (a
 /// chunk may end mid-line) and it produces exactly the records whole-text
-/// parsing would. Blank lines and lines starting with '#' are skipped;
-/// line numbers are 1-based over the whole input, comments included.
+/// parsing would. Each line is validated by ParseLine and emitted as a
+/// record whose path is interned into the parser's table, in line order.
+/// Blank lines and lines starting with '#' are skipped; line numbers are
+/// 1-based over the whole input, comments included.
 ///
 /// Strict mode (lenient == false) throws std::runtime_error from Feed or
 /// Finish naming the first bad line's number and a truncated copy of its
@@ -75,23 +78,27 @@ class StreamParser {
     std::size_t max_recorded_errors = 8;
   };
 
-  StreamParser() = default;
-  explicit StreamParser(Options options) : options_(options) {}
+  /// Emits records whose paths intern into `table`, which must outlive
+  /// the parser. Strict mode unless `options` say otherwise.
+  explicit StreamParser(feed::AsPathTable& table);
+  StreamParser(feed::AsPathTable& table, Options options)
+      : table_(&table), options_(options) {}
 
   /// Parses every complete line in `chunk` (plus whatever was buffered
   /// from previous chunks), appending records to `out`. The trailing
   /// partial line, if any, is buffered for the next Feed/Finish.
-  void Feed(std::string_view chunk, std::vector<BgpUpdate>& out);
+  void Feed(std::string_view chunk, std::vector<feed::UpdateRec>& out);
 
   /// Flushes the buffered final line (a dump need not end in '\n') and
   /// commits the bad-line counter. Idempotent.
-  void Finish(std::vector<BgpUpdate>& out);
+  void Finish(std::vector<feed::UpdateRec>& out);
 
   [[nodiscard]] const ParseStats& stats() const noexcept { return stats_; }
 
  private:
-  void ConsumeLine(std::string_view line, std::vector<BgpUpdate>& out);
+  void ConsumeLine(std::string_view line, std::vector<feed::UpdateRec>& out);
 
+  feed::AsPathTable* table_;
   Options options_;
   std::string pending_;  ///< partial trailing line from the last chunk
   std::size_t line_number_ = 0;
@@ -102,9 +109,8 @@ class StreamParser {
 /// Parses a whole dump strictly; blank lines and lines starting with '#'
 /// are skipped. Throws std::runtime_error naming the first bad line's
 /// number and a truncated copy of its content (long lines are capped, so
-/// a megabyte of garbage yields a readable message). The output vector is
-/// pre-reserved from a newline count, so a RIS-sized dump parses without
-/// reallocation churn.
+/// a megabyte of garbage yields a readable message). Adapter:
+/// Materialize(ParseStream(...)).
 [[nodiscard]] std::vector<BgpUpdate> ParseText(std::string_view text);
 
 /// A leniently parsed dump: everything that parsed, plus drop statistics.
@@ -116,7 +122,7 @@ struct LenientParse {
 /// Parses a whole dump, skipping malformed lines instead of throwing.
 /// Records up to `max_recorded_errors` error descriptions in the stats.
 /// Increments the `bgp.mrt.bad_lines` counter (registered only when bad
-/// lines actually occur).
+/// lines actually occur). Adapter: Materialize(lenient ParseStream(...)).
 [[nodiscard]] LenientParse ParseTextLenient(std::string_view text,
                                             std::size_t max_recorded_errors = 8);
 
@@ -154,6 +160,7 @@ class StreamWriter {
   explicit StreamWriter(std::ostream& out) : out_(&out) {}
 
   void Write(const BgpUpdate& update);
+  /// Writes the record's path straight from `table` (no BgpUpdate copy).
   void Write(const feed::UpdateRec& rec, const feed::AsPathTable& table);
 
   /// Updates written so far.
@@ -175,7 +182,8 @@ void WriteFile(const std::string& path, const std::vector<BgpUpdate>& updates);
 
 /// Reads updates from a file via the incremental parser (fixed-size
 /// chunks; the file is never slurped into one string). Throws
-/// std::runtime_error on I/O or parse errors.
+/// std::runtime_error on I/O or parse errors. Adapter:
+/// Materialize(ParseFileStream(...)).
 [[nodiscard]] std::vector<BgpUpdate> ReadFile(const std::string& path);
 
 }  // namespace quicksand::bgp::mrt

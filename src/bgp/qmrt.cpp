@@ -170,10 +170,6 @@ std::uint32_t BlockEncoder::LocalPathId(feed::PathId id, const feed::AsPathTable
   return it->second;
 }
 
-void BlockEncoder::Add(const BgpUpdate& update) {
-  Add(feed::ToRecord(update, own_table_), own_table_);
-}
-
 void BlockEncoder::Add(const feed::UpdateRec& rec, const feed::AsPathTable& table) {
   // Ids are only meaningful within one table; silently mixing tables would
   // alias unrelated paths in the per-stream bookkeeping.
@@ -258,9 +254,7 @@ void BlockEncoder::Flush() {
 
 std::string Encode(std::span<const BgpUpdate> updates, EncodeOptions options) {
   std::ostringstream out;
-  BlockEncoder encoder(out, options);
-  for (const BgpUpdate& u : updates) encoder.Add(u);
-  encoder.Flush();
+  WriteStream(out, feed::FromVector(std::make_shared<feed::AsPathTable>(), updates), options);
   return std::move(out).str();
 }
 
@@ -282,9 +276,7 @@ void WriteFile(const std::string& path, std::span<const BgpUpdate> updates,
     throw std::runtime_error("qmrt: cannot open '" + path +
                              "' for writing: " + util::ErrnoDetail());
   }
-  BlockEncoder encoder(out, options);
-  for (const BgpUpdate& u : updates) encoder.Add(u);
-  encoder.Flush();
+  WriteStream(out, feed::FromVector(std::make_shared<feed::AsPathTable>(), updates), options);
   out.flush();
   if (!out) {
     throw std::runtime_error("qmrt: write failed for '" + path +

@@ -84,10 +84,9 @@ struct EncodeOptions {
 /// Incremental block encoder: records are appended and serialized blocks
 /// are flushed to the output as they fill, so encoding a stream never
 /// builds a whole-dump copy. One encoder serves one record source: every
-/// `Add(rec, table)` call must pass the same table, and the `BgpUpdate`
-/// overload (which interns into an internal table) must not be mixed with
-/// the record overload — the encoder's path-id bookkeeping is keyed on
-/// that single table's ids and throws `std::logic_error` on a mix.
+/// `Add(rec, table)` call must pass the same table — the encoder's
+/// path-id bookkeeping is keyed on that single table's ids and throws
+/// `std::logic_error` on a mix.
 class BlockEncoder {
  public:
   explicit BlockEncoder(std::ostream& out, EncodeOptions options = {});
@@ -96,7 +95,6 @@ class BlockEncoder {
   BlockEncoder(const BlockEncoder&) = delete;
   BlockEncoder& operator=(const BlockEncoder&) = delete;
 
-  void Add(const BgpUpdate& update);
   void Add(const feed::UpdateRec& rec, const feed::AsPathTable& table);
 
   /// Serializes and writes the partial block, if any. Called by the
@@ -117,7 +115,6 @@ class BlockEncoder {
 
   std::ostream* out_;
   EncodeOptions options_;
-  feed::AsPathTable own_table_;  ///< backs the BgpUpdate overload
   /// The one table this encoder's ids refer to (set on first Add).
   const feed::AsPathTable* bound_table_ = nullptr;
   /// table PathId -> stream path id, assigned densely on first sight.
@@ -132,7 +129,8 @@ class BlockEncoder {
   std::size_t written_bytes_ = 0;
 };
 
-/// Encodes `updates` to a QMRT byte string.
+/// Encodes `updates` to a QMRT byte string. Adapter: WriteStream over
+/// feed::FromVector on a fresh table.
 [[nodiscard]] std::string Encode(std::span<const BgpUpdate> updates,
                                  EncodeOptions options = {});
 
@@ -142,7 +140,8 @@ class BlockEncoder {
 std::size_t WriteStream(std::ostream& out, feed::UpdateStream stream,
                         EncodeOptions options = {});
 
-/// Writes updates to a file. Errors carry path + errno context.
+/// Writes updates to a file (WriteStream over feed::FromVector). Errors
+/// carry path + errno context.
 void WriteFile(const std::string& path, std::span<const BgpUpdate> updates,
                EncodeOptions options = {});
 

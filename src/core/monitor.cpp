@@ -70,12 +70,8 @@ void RelayMonitor::LearnImpl(const netbase::Prefix& prefix, bgp::UpdateType type
   }
 }
 
-void RelayMonitor::Learn(const bgp::BgpUpdate& update) {
-  LearnImpl(update.prefix, update.type, update.path);
-}
-
 void RelayMonitor::LearnBaseline(std::span<const bgp::BgpUpdate> initial_rib) {
-  for (const bgp::BgpUpdate& update : initial_rib) Learn(update);
+  for (const bgp::BgpUpdate& u : initial_rib) LearnImpl(u.prefix, u.type, u.path);
 }
 
 void RelayMonitor::LearnBaselineStream(bgp::feed::UpdateStream& stream) {

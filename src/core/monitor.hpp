@@ -148,10 +148,10 @@ class RelayMonitor {
   /// idempotence sets (src/daemon/state_codec.cpp).
   friend struct quicksand::daemon::StateCodec;
 
-  void Learn(const bgp::BgpUpdate& update);
   void LearnImpl(const netbase::Prefix& prefix, bgp::UpdateType type,
                  const bgp::AsPath& path);
-  /// Common alert path for materialized and record consumption.
+  /// Common alert path for materialized and record consumption; the
+  /// BgpUpdate overloads above are one-line adapters onto it.
   [[nodiscard]] std::vector<Alert> ConsumeImpl(netbase::SimTime time,
                                                bgp::SessionId session,
                                                const netbase::Prefix& prefix,

@@ -2,10 +2,10 @@
 
 // Hierarchical profiling spans.
 //
-// A `ScopedSpan` brackets a region of work the way `ScopedPhase` brackets
-// a trace phase, but it also understands *nesting*: every span knows its
-// parent on the same thread, accumulates the wall time its children
-// consumed, and reports both inclusive (total) and exclusive (self) time.
+// A `ScopedSpan` brackets a region of work and understands *nesting*:
+// every span knows its parent on the same thread, accumulates the wall
+// time its children consumed, and reports both inclusive (total) and
+// exclusive (self) time.
 // Spans are the substrate `--profile` builds its per-region breakdown on.
 //
 // A span does two independent things when it closes:

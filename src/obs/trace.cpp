@@ -145,28 +145,10 @@ void TraceSink::Emit(TraceEvent event) {
   events_.push_back(std::move(event));
 }
 
-void TraceSink::Begin(std::string_view name,
-                      std::vector<std::pair<std::string, std::string>> args) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  TraceEvent event{std::string(name), 'B', clock_.ElapsedUs(), depth_, std::move(args)};
-  open_phases_.emplace_back(name);
-  ++depth_;
-  Emit(std::move(event));
-}
-
-void TraceSink::End() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (open_phases_.empty()) return;
-  --depth_;
-  TraceEvent event{open_phases_.back(), 'E', clock_.ElapsedUs(), depth_, {}};
-  open_phases_.pop_back();
-  Emit(std::move(event));
-}
-
 void TraceSink::Instant(std::string_view name,
                         std::vector<std::pair<std::string, std::string>> args) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  Emit(TraceEvent{std::string(name), 'i', clock_.ElapsedUs(), depth_, std::move(args)});
+  Emit(TraceEvent{std::string(name), 'i', clock_.ElapsedUs(), 0, std::move(args)});
 }
 
 void TraceSink::Complete(std::string_view name, std::int64_t dur_us, int depth,

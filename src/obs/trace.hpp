@@ -3,8 +3,8 @@
 // Structured event tracing for pipeline phases (topology generation,
 // consensus generation, dynamics generation, replay, attack analysis).
 //
-// Events use the Chrome trace_event phase vocabulary ('B' begin,
-// 'E' end, 'i' instant) and are emitted as JSONL — one event object per
+// Events use the Chrome trace_event phase vocabulary ('i' instant,
+// 'X' complete) and are emitted as JSONL — one event object per
 // line — which streams safely even if the process dies mid-run.
 // WriteChromeTrace() wraps the same events into the JSON-array form that
 // chrome://tracing and Perfetto load directly.
@@ -28,9 +28,9 @@ namespace quicksand::obs {
 
 struct TraceEvent {
   std::string name;
-  char phase = 'i';        ///< 'B', 'E', 'i', or 'X' (trace_event "ph")
+  char phase = 'i';        ///< 'i' or 'X' (trace_event "ph")
   std::int64_t ts_us = 0;  ///< microseconds since sink creation
-  int depth = 0;           ///< phase-nesting depth at emission
+  int depth = 0;           ///< span-nesting depth ('X'); 0 for instants
   std::vector<std::pair<std::string, std::string>> args;
   std::int64_t dur_us = 0;  ///< duration; meaningful for 'X' complete events
   int tid = 0;              ///< emitting thread (obs::CurrentThreadId); 0 = main
@@ -47,27 +47,19 @@ class TraceSink {
   explicit TraceSink(const std::string& jsonl_path = "");
   ~TraceSink();
 
-  /// Opens a phase (nestable).
-  void Begin(std::string_view name,
-             std::vector<std::pair<std::string, std::string>> args = {});
-  /// Closes the innermost open phase; no-op if none is open.
-  void End();
   /// A point event.
   void Instant(std::string_view name,
                std::vector<std::pair<std::string, std::string>> args = {});
   /// A self-contained span ('X' complete event) that just finished: its
-  /// start timestamp is now minus `dur_us`. Unlike Begin/End pairs,
-  /// complete events from concurrent threads cannot interleave into a
-  /// torn pairing — obs::ScopedSpan emits these (see obs/span.hpp).
+  /// start timestamp is now minus `dur_us`. Complete events from
+  /// concurrent threads cannot interleave into a torn begin/end pairing —
+  /// obs::ScopedSpan emits these (see obs/span.hpp).
   void Complete(std::string_view name, std::int64_t dur_us, int depth, int tid,
                 std::vector<std::pair<std::string, std::string>> args = {});
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
     return events_;
   }
-  /// Current phase-nesting depth (open Begins minus Ends).
-  [[nodiscard]] int depth() const noexcept { return depth_; }
-
   /// Re-emits every collected event as a Chrome trace_event JSON array
   /// ({"traceEvents": [...]}) loadable by chrome://tracing / Perfetto.
   void WriteChromeTrace(const std::string& path) const;
@@ -84,8 +76,6 @@ class TraceSink {
   mutable std::mutex mutex_;
   Stopwatch clock_;
   std::vector<TraceEvent> events_;
-  std::vector<std::string> open_phases_;
-  int depth_ = 0;
   std::unique_ptr<std::ofstream> out_;
 };
 
@@ -94,23 +84,5 @@ class TraceSink {
 /// Installs (or clears, with nullptr) the global sink. The caller keeps
 /// ownership and must outlive any traced calls.
 void SetGlobalTrace(TraceSink* sink) noexcept;
-
-/// RAII phase guard; inert when `sink` is null.
-class ScopedPhase {
- public:
-  ScopedPhase(TraceSink* sink, std::string_view name,
-              std::vector<std::pair<std::string, std::string>> args = {})
-      : sink_(sink) {
-    if (sink_ != nullptr) sink_->Begin(name, std::move(args));
-  }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-  ~ScopedPhase() {
-    if (sink_ != nullptr) sink_->End();
-  }
-
- private:
-  TraceSink* sink_;
-};
 
 }  // namespace quicksand::obs

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "netbase/rng.hpp"
+
+#include "support/records.hpp"
 
 namespace quicksand::bgp {
 namespace {
@@ -20,6 +29,12 @@ BgpUpdate Withdraw(std::int64_t t, SessionId s, const char* prefix) {
   return {SimTime{t}, s, UpdateType::kWithdraw, Prefix::MustParse(prefix), {}};
 }
 
+/// Feeds `update` as a record interned into a test-wide table.
+void Consume(ChurnAnalyzer& analyzer, const BgpUpdate& update) {
+  static test_support::RecordBuilder records;
+  analyzer.ConsumeRecord(records.Rec(update), records.table());
+}
+
 const SessionPrefixChurn& EntryOf(const ChurnAnalyzer& analyzer, SessionId s,
                                   const char* prefix) {
   return analyzer.entries().at(SessionPrefixKey{s, Prefix::MustParse(prefix)});
@@ -27,10 +42,10 @@ const SessionPrefixChurn& EntryOf(const ChurnAnalyzer& analyzer, SessionId s,
 
 TEST(ChurnAnalyzer, CountsPathChangesByAsSet) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2 3"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 9 3"));    // change
-  analyzer.Consume(Announce(200, 0, "10.0.0.0/8", "1 9 3 3"));  // prepend: no change
-  analyzer.Consume(Announce(300, 0, "10.0.0.0/8", "1 2 3"));    // change back
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2 3"));
+  Consume(analyzer, Announce(100, 0, "10.0.0.0/8", "1 9 3"));    // change
+  Consume(analyzer, Announce(200, 0, "10.0.0.0/8", "1 9 3 3"));  // prepend: no change
+  Consume(analyzer, Announce(300, 0, "10.0.0.0/8", "1 2 3"));    // change back
   analyzer.Finish();
   const auto& entry = EntryOf(analyzer, 0, "10.0.0.0/8");
   EXPECT_EQ(entry.path_changes, 2u);
@@ -40,22 +55,22 @@ TEST(ChurnAnalyzer, CountsPathChangesByAsSet) {
 
 TEST(ChurnAnalyzer, WithdrawIsNotAPathChange) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2 3"));
-  analyzer.Consume(Withdraw(100, 0, "10.0.0.0/8"));
-  analyzer.Consume(Announce(200, 0, "10.0.0.0/8", "1 2 3"));  // same path again
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2 3"));
+  Consume(analyzer, Withdraw(100, 0, "10.0.0.0/8"));
+  Consume(analyzer, Announce(200, 0, "10.0.0.0/8", "1 2 3"));  // same path again
   analyzer.Finish();
   EXPECT_EQ(EntryOf(analyzer, 0, "10.0.0.0/8").path_changes, 0u);
 }
 
 TEST(ChurnAnalyzer, ExtraAsRequiresDwellThreshold) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2 3"));
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2 3"));
   // AS 9 appears for only 60 s: below the 5-minute threshold.
-  analyzer.Consume(Announce(1000, 0, "10.0.0.0/8", "1 9 3"));
-  analyzer.Consume(Announce(1060, 0, "10.0.0.0/8", "1 2 3"));
+  Consume(analyzer, Announce(1000, 0, "10.0.0.0/8", "1 9 3"));
+  Consume(analyzer, Announce(1060, 0, "10.0.0.0/8", "1 2 3"));
   // AS 7 appears for a full hour: qualifies.
-  analyzer.Consume(Announce(2000, 0, "10.0.0.0/8", "1 7 3"));
-  analyzer.Consume(Announce(2000 + 3600, 0, "10.0.0.0/8", "1 2 3"));
+  Consume(analyzer, Announce(2000, 0, "10.0.0.0/8", "1 7 3"));
+  Consume(analyzer, Announce(2000 + 3600, 0, "10.0.0.0/8", "1 2 3"));
   analyzer.Finish();
   const auto& entry = EntryOf(analyzer, 0, "10.0.0.0/8");
   EXPECT_EQ(entry.qualifying_extra_ases, (std::vector<AsNumber>{7}));
@@ -63,10 +78,10 @@ TEST(ChurnAnalyzer, ExtraAsRequiresDwellThreshold) {
 
 TEST(ChurnAnalyzer, SubThresholdAsIsGlimpsedNotQualifying) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2 3"));
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2 3"));
   // AS 9 on path for 60 s: a convergence-style glimpse.
-  analyzer.Consume(Announce(1000, 0, "10.0.0.0/8", "1 9 3"));
-  analyzer.Consume(Announce(1060, 0, "10.0.0.0/8", "1 2 3"));
+  Consume(analyzer, Announce(1000, 0, "10.0.0.0/8", "1 9 3"));
+  Consume(analyzer, Announce(1060, 0, "10.0.0.0/8", "1 2 3"));
   analyzer.Finish();
   const auto& entry = EntryOf(analyzer, 0, "10.0.0.0/8");
   EXPECT_TRUE(entry.qualifying_extra_ases.empty());
@@ -75,12 +90,12 @@ TEST(ChurnAnalyzer, SubThresholdAsIsGlimpsedNotQualifying) {
 
 TEST(ChurnAnalyzer, QualifyingAsIsNeverAlsoGlimpsed) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
   // First a short appearance, later a long one: qualifies, not glimpsed.
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 9 2"));
-  analyzer.Consume(Announce(160, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(5000, 0, "10.0.0.0/8", "1 9 2"));
-  analyzer.Consume(Announce(5000 + 3600, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(100, 0, "10.0.0.0/8", "1 9 2"));
+  Consume(analyzer, Announce(160, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(5000, 0, "10.0.0.0/8", "1 9 2"));
+  Consume(analyzer, Announce(5000 + 3600, 0, "10.0.0.0/8", "1 2"));
   analyzer.Finish();
   const auto& entry = EntryOf(analyzer, 0, "10.0.0.0/8");
   EXPECT_EQ(entry.qualifying_extra_ases, (std::vector<AsNumber>{9}));
@@ -90,15 +105,15 @@ TEST(ChurnAnalyzer, QualifyingAsIsNeverAlsoGlimpsed) {
 TEST(ChurnAnalyzer, GlimpsedCountPerPrefixExcludesQualified) {
   ChurnAnalyzer analyzer;
   // Session 0: AS 9 glimpsed; session 1: AS 9 stays long (qualifies).
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 9 2"));
-  analyzer.Consume(Announce(160, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(0, 1, "10.0.0.0/8", "4 2"));
-  analyzer.Consume(Announce(100, 1, "10.0.0.0/8", "4 9 2"));
-  analyzer.Consume(Announce(90000, 1, "10.0.0.0/8", "4 2"));
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(100, 0, "10.0.0.0/8", "1 9 2"));
+  Consume(analyzer, Announce(160, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(0, 1, "10.0.0.0/8", "4 2"));
+  Consume(analyzer, Announce(100, 1, "10.0.0.0/8", "4 9 2"));
+  Consume(analyzer, Announce(90000, 1, "10.0.0.0/8", "4 2"));
   // And AS 8 glimpsed on session 0 only.
-  analyzer.Consume(Announce(5000, 0, "10.0.0.0/8", "1 8 2"));
-  analyzer.Consume(Announce(5050, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(5000, 0, "10.0.0.0/8", "1 8 2"));
+  Consume(analyzer, Announce(5050, 0, "10.0.0.0/8", "1 2"));
   analyzer.Finish();
   const auto glimpsed = analyzer.GlimpsedAsCountPerPrefix();
   // AS 9 qualified somewhere, so only AS 8 is glimpse-only for the prefix.
@@ -107,9 +122,9 @@ TEST(ChurnAnalyzer, GlimpsedCountPerPrefixExcludesQualified) {
 
 TEST(ChurnAnalyzer, ExtraAsAtExactThresholdQualifies) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 5 2"));
-  analyzer.Consume(Announce(100 + kAttackDwellThreshold, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(100, 0, "10.0.0.0/8", "1 5 2"));
+  Consume(analyzer, Announce(100 + kAttackDwellThreshold, 0, "10.0.0.0/8", "1 2"));
   analyzer.Finish();
   EXPECT_EQ(EntryOf(analyzer, 0, "10.0.0.0/8").qualifying_extra_ases,
             (std::vector<AsNumber>{5}));
@@ -117,9 +132,9 @@ TEST(ChurnAnalyzer, ExtraAsAtExactThresholdQualifies) {
 
 TEST(ChurnAnalyzer, BaselineAsesNeverCountAsExtra) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2 3"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 2"));       // 3 leaves
-  analyzer.Consume(Announce(90000, 0, "10.0.0.0/8", "1 2 3"));   // 3 returns, long
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2 3"));
+  Consume(analyzer, Announce(100, 0, "10.0.0.0/8", "1 2"));       // 3 leaves
+  Consume(analyzer, Announce(90000, 0, "10.0.0.0/8", "1 2 3"));   // 3 returns, long
   analyzer.Finish();
   EXPECT_TRUE(EntryOf(analyzer, 0, "10.0.0.0/8").qualifying_extra_ases.empty());
 }
@@ -128,8 +143,8 @@ TEST(ChurnAnalyzer, OpenIntervalClosedAtWindowEnd) {
   ChurnParams params;
   params.window_end_s = 10000;
   ChurnAnalyzer analyzer(params);
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(9000, 0, "10.0.0.0/8", "1 8 2"));  // stays until end
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(9000, 0, "10.0.0.0/8", "1 8 2"));  // stays until end
   analyzer.Finish();
   EXPECT_EQ(EntryOf(analyzer, 0, "10.0.0.0/8").qualifying_extra_ases,
             (std::vector<AsNumber>{8}));
@@ -137,9 +152,9 @@ TEST(ChurnAnalyzer, OpenIntervalClosedAtWindowEnd) {
 
 TEST(ChurnAnalyzer, WithdrawClosesExtraAsIntervals) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 8 2"));
-  analyzer.Consume(Withdraw(160, 0, "10.0.0.0/8"));  // AS8 on path only 60 s
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(100, 0, "10.0.0.0/8", "1 8 2"));
+  Consume(analyzer, Withdraw(160, 0, "10.0.0.0/8"));  // AS8 on path only 60 s
   analyzer.Finish();
   EXPECT_TRUE(EntryOf(analyzer, 0, "10.0.0.0/8").qualifying_extra_ases.empty());
 }
@@ -147,8 +162,10 @@ TEST(ChurnAnalyzer, WithdrawClosesExtraAsIntervals) {
 TEST(ChurnAnalyzer, InitialRibSetsBaseline) {
   ChurnAnalyzer analyzer;
   const std::vector<BgpUpdate> rib = {Announce(0, 0, "10.0.0.0/8", "1 2 3")};
-  analyzer.ConsumeInitialRib(rib);
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 9 3"));
+  test_support::RecordBuilder records;
+  feed::UpdateStream rib_stream = feed::FromVector(records.shared(), rib);
+  analyzer.ConsumeStream(rib_stream);
+  Consume(analyzer, Announce(100, 0, "10.0.0.0/8", "1 9 3"));
   analyzer.Finish();
   EXPECT_EQ(EntryOf(analyzer, 0, "10.0.0.0/8").path_changes, 1u);
 }
@@ -156,15 +173,15 @@ TEST(ChurnAnalyzer, InitialRibSetsBaseline) {
 TEST(ChurnAnalyzer, MedianAndRatios) {
   ChurnAnalyzer analyzer;
   // Session 0: three prefixes with 0, 2, and 10 changes.
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(0, 0, "11.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(0, 0, "12.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(0, 0, "11.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(0, 0, "12.0.0.0/8", "1 2"));
   for (int i = 0; i < 2; ++i) {
-    analyzer.Consume(Announce(100 + i * 100, 0, "11.0.0.0/8",
+    Consume(analyzer, Announce(100 + i * 100, 0, "11.0.0.0/8",
                               i % 2 == 0 ? "1 9" : "1 2"));
   }
   for (int i = 0; i < 10; ++i) {
-    analyzer.Consume(Announce(1000 + i * 100, 0, "12.0.0.0/8",
+    Consume(analyzer, Announce(1000 + i * 100, 0, "12.0.0.0/8",
                               i % 2 == 0 ? "1 9" : "1 2"));
   }
   analyzer.Finish();
@@ -178,9 +195,9 @@ TEST(ChurnAnalyzer, MedianAndRatios) {
 
 TEST(ChurnAnalyzer, RatioUsesFloorWhenMedianZero) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 9"));
-  analyzer.Consume(Announce(200, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(100, 0, "10.0.0.0/8", "1 9"));
+  Consume(analyzer, Announce(200, 0, "10.0.0.0/8", "1 2"));
   analyzer.Finish();
   // Median over the single prefix is 2; with only one prefix the target
   // ratio is 1. Use a fresh case: single prefix, zero changes elsewhere.
@@ -193,12 +210,12 @@ TEST(ChurnAnalyzer, RatioUsesFloorWhenMedianZero) {
 TEST(ChurnAnalyzer, ExtraAsCountUnionsAcrossSessions) {
   ChurnAnalyzer analyzer;
   // Same prefix on two sessions, different extra ASes.
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(0, 1, "10.0.0.0/8", "4 2"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 7 2"));
-  analyzer.Consume(Announce(100, 1, "10.0.0.0/8", "4 8 2"));
-  analyzer.Consume(Announce(90000, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(90000, 1, "10.0.0.0/8", "4 2"));
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(0, 1, "10.0.0.0/8", "4 2"));
+  Consume(analyzer, Announce(100, 0, "10.0.0.0/8", "1 7 2"));
+  Consume(analyzer, Announce(100, 1, "10.0.0.0/8", "4 8 2"));
+  Consume(analyzer, Announce(90000, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(90000, 1, "10.0.0.0/8", "4 2"));
   analyzer.Finish();
   const auto counts = analyzer.ExtraAsCountPerPrefix();
   EXPECT_EQ(counts.at(Prefix::MustParse("10.0.0.0/8")), 2u);  // {7, 8}
@@ -206,9 +223,9 @@ TEST(ChurnAnalyzer, ExtraAsCountUnionsAcrossSessions) {
 
 TEST(ChurnAnalyzer, SessionsPerPrefixAndPrefixesPerSession) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(0, 1, "10.0.0.0/8", "4 2"));
-  analyzer.Consume(Announce(0, 0, "11.0.0.0/8", "1 3"));
+  Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  Consume(analyzer, Announce(0, 1, "10.0.0.0/8", "4 2"));
+  Consume(analyzer, Announce(0, 0, "11.0.0.0/8", "1 3"));
   analyzer.Finish();
   EXPECT_EQ(analyzer.SessionsPerPrefix().at(Prefix::MustParse("10.0.0.0/8")), 2u);
   EXPECT_EQ(analyzer.PrefixesPerSession().at(0), 2u);
@@ -219,8 +236,67 @@ TEST(ChurnAnalyzer, LifecycleEnforced) {
   ChurnAnalyzer analyzer;
   EXPECT_THROW((void)analyzer.entries(), std::logic_error);
   analyzer.Finish();
-  EXPECT_THROW(analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1")), std::logic_error);
+  EXPECT_THROW(Consume(analyzer, Announce(0, 0, "10.0.0.0/8", "1")), std::logic_error);
   EXPECT_NO_THROW(analyzer.Finish());  // idempotent
+}
+
+TEST(ChurnAnalyzer, OnPathQueriesMatchBruteForceUnion) {
+  // A seeded multi-session feed with withdrawals. Session ids include the
+  // largest SessionId so the per-session skip-scan's last hop is covered.
+  const std::vector<SessionId> sessions = {0, 1, 2, 5, 9, 40, 0xFFFFFFFFu};
+  std::vector<Prefix> prefixes;
+  for (int i = 0; i < 6; ++i) {
+    prefixes.push_back(Prefix::MustParse(("10." + std::to_string(i) + ".0.0/16").c_str()));
+  }
+  const Prefix never_seen = Prefix::MustParse("192.0.2.0/24");
+  netbase::Rng rng(20140601);
+  ChurnAnalyzer analyzer;
+  // Brute-force reference: every (session, prefix)'s current path, or
+  // nullopt once withdrawn.
+  std::map<std::pair<SessionId, Prefix>, std::optional<std::vector<AsNumber>>> current;
+
+  const auto check = [&] {
+    for (const Prefix& prefix : prefixes) {
+      std::vector<AsNumber> expected;
+      for (const auto& [key, path] : current) {
+        if (key.second == prefix && path) expected.insert(expected.end(), path->begin(), path->end());
+      }
+      std::sort(expected.begin(), expected.end());
+      expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
+      ASSERT_EQ(analyzer.CurrentOnPathAses(prefix), expected) << prefix;
+      for (AsNumber as = 0; as <= 25; ++as) {
+        const bool on_path = std::binary_search(expected.begin(), expected.end(), as);
+        ASSERT_EQ(analyzer.IsOnPath(as, prefix), on_path) << prefix << " AS" << as;
+      }
+    }
+    EXPECT_TRUE(analyzer.CurrentOnPathAses(never_seen).empty());
+    EXPECT_FALSE(analyzer.IsOnPath(1, never_seen));
+  };
+
+  std::size_t withdrawals = 0;
+  for (std::int64_t t = 0; t < 3000; ++t) {
+    const SessionId session = sessions[rng.UniformInt(0, sessions.size() - 1)];
+    const Prefix& prefix = prefixes[rng.UniformInt(0, prefixes.size() - 1)];
+    if (rng.UniformInt(0, 4) == 0) {
+      ++withdrawals;
+      Consume(analyzer, {SimTime{t}, session, UpdateType::kWithdraw, prefix, {}});
+      current[{session, prefix}] = std::nullopt;
+    } else {
+      std::vector<AsNumber> hops;
+      const std::size_t length = 1 + rng.UniformInt(0, 4);
+      for (std::size_t h = 0; h < length; ++h) {
+        hops.push_back(static_cast<AsNumber>(1 + rng.UniformInt(0, 19)));
+      }
+      Consume(analyzer, {SimTime{t}, session, UpdateType::kAnnounce, prefix, AsPath(hops)});
+      std::sort(hops.begin(), hops.end());
+      hops.erase(std::unique(hops.begin(), hops.end()), hops.end());
+      current[{session, prefix}] = hops;
+    }
+    if (t % 250 == 249) check();
+  }
+  EXPECT_GT(withdrawals, 300u);
+  analyzer.Finish();
+  check();  // queries stay valid after Finish
 }
 
 }  // namespace

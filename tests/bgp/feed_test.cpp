@@ -19,6 +19,8 @@
 #include "obs/metrics.hpp"
 #include "fault/injector.hpp"
 
+#include "support/records.hpp"
+
 namespace quicksand::bgp {
 namespace {
 
@@ -221,14 +223,17 @@ TEST(Feed, SanitizeStageMatchesSanitizeFeed) {
       Announce(0, 1, "192.168.0.0/16", "1 5"),
   };
   const std::vector<BgpUpdate> updates = ResyncHeavyFeed();
-  const SanitizedFeed direct = SanitizeFeed(initial_rib, updates);
+  test_support::RecordBuilder records;
+  const std::vector<feed::UpdateRec> rib_records = records.Recs(initial_rib);
+  const SanitizedRecords direct = SanitizeRecords(rib_records, records.Recs(updates));
+  const std::vector<BgpUpdate> direct_updates = records.Updates(direct.updates);
   for (std::size_t batch : {1u, 3u, 1024u}) {
     auto stats = std::make_shared<SanitizeStageStats>();
     const feed::FeedStage stage = SanitizeStage(initial_rib, {}, stats, batch);
     auto table = std::make_shared<feed::AsPathTable>();
     const std::vector<BgpUpdate> staged =
         feed::Materialize(stage(feed::FromVector(table, updates, batch)));
-    EXPECT_EQ(staged, direct.updates) << "batch size " << batch;
+    EXPECT_EQ(staged, direct_updates) << "batch size " << batch;
     EXPECT_EQ(stats->out_of_order_repaired, direct.out_of_order_repaired);
     EXPECT_EQ(stats->reset_stats.bursts_detected, direct.reset_stats.bursts_detected);
     EXPECT_EQ(stats->reset_stats.duplicates_removed,

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "support/records.hpp"
+
 namespace quicksand::bgp {
 namespace {
 
@@ -25,6 +29,22 @@ std::vector<BgpUpdate> SmallRib(SessionId s) {
   };
 }
 
+/// FilterSessionRecords output, materialized back for comparison.
+struct Filtered {
+  std::vector<BgpUpdate> updates;
+  ResetFilterStats stats;
+};
+
+/// Interns `rib` and `updates` into one table and filters the records.
+Filtered Filter(const std::vector<BgpUpdate>& rib, const std::vector<BgpUpdate>& updates,
+                const ResetFilterParams& params = {}) {
+  test_support::RecordBuilder records;
+  const std::vector<feed::UpdateRec> rib_records = records.Recs(rib);
+  const FilteredRecords result =
+      FilterSessionRecords(rib_records, records.Recs(updates), params);
+  return {records.Updates(result.updates), result.stats};
+}
+
 TEST(SessionResetFilter, PassesRealChangesThrough) {
   const auto rib = SmallRib(0);
   const std::vector<BgpUpdate> updates = {
@@ -32,7 +52,7 @@ TEST(SessionResetFilter, PassesRealChangesThrough) {
       Withdraw(200, 0, "11.0.0.0/8"),            // real withdraw
       Announce(300, 0, "11.0.0.0/8", "1 2 4"),   // real re-announce
   };
-  const auto result = FilterSessionResets(rib, updates);
+  const auto result = Filter(rib, updates);
   EXPECT_EQ(result.updates, updates);
   EXPECT_EQ(result.stats.duplicates_removed, 0u);
   EXPECT_EQ(result.stats.burst_updates_removed, 0u);
@@ -45,7 +65,7 @@ TEST(SessionResetFilter, DropsDuplicateAnnouncements) {
       Announce(200, 0, "10.0.0.0/8", "1 9 3"),  // real change
       Announce(300, 0, "10.0.0.0/8", "1 9 3"),  // duplicate of new state
   };
-  const auto result = FilterSessionResets(rib, updates);
+  const auto result = Filter(rib, updates);
   ASSERT_EQ(result.updates.size(), 1u);
   EXPECT_EQ(result.updates[0].time.seconds, 200);
   EXPECT_EQ(result.stats.duplicates_removed, 2u);
@@ -54,7 +74,7 @@ TEST(SessionResetFilter, DropsDuplicateAnnouncements) {
 TEST(SessionResetFilter, DropsWithdrawalsOfUnknownPrefixes) {
   const auto rib = SmallRib(0);
   const std::vector<BgpUpdate> updates = {Withdraw(50, 0, "99.0.0.0/8")};
-  const auto result = FilterSessionResets(rib, updates);
+  const auto result = Filter(rib, updates);
   EXPECT_TRUE(result.updates.empty());
   EXPECT_EQ(result.stats.duplicates_removed, 1u);
 }
@@ -72,7 +92,7 @@ TEST(SessionResetFilter, CollapsesTableTransferBurst) {
       Announce(1002, 0, "12.0.0.0/8", "1 5"),
       Announce(1003, 0, "11.0.0.0/8", "1 2 4"),  // settles back
   };
-  const auto result = FilterSessionResets(rib, updates, params);
+  const auto result = Filter(rib, updates, params);
   EXPECT_TRUE(result.updates.empty());
   EXPECT_EQ(result.stats.burst_updates_removed, 4u);
   EXPECT_GE(result.stats.bursts_detected, 1u);
@@ -89,7 +109,7 @@ TEST(SessionResetFilter, BurstWithNetChangeKeepsFinalUpdate) {
       Announce(1002, 0, "12.0.0.0/8", "1 5"),
       Announce(1003, 0, "10.0.0.0/8", "1 9 3"),  // genuine new path survives
   };
-  const auto result = FilterSessionResets(rib, updates, params);
+  const auto result = Filter(rib, updates, params);
   ASSERT_EQ(result.updates.size(), 1u);
   EXPECT_EQ(result.updates[0].path, AsPath::MustParse("1 9 3"));
   EXPECT_EQ(result.stats.burst_updates_removed, 3u);
@@ -109,7 +129,7 @@ TEST(SessionResetFilter, SessionsAreIndependent) {
       Announce(1001, 0, "11.0.0.0/8", "1 2 4"),
       Announce(1002, 0, "12.0.0.0/8", "1 5"),
   };
-  const auto result = FilterSessionResets(rib, updates, params);
+  const auto result = Filter(rib, updates, params);
   ASSERT_EQ(result.updates.size(), 1u);
   EXPECT_EQ(result.updates[0].session, 1u);
 }
@@ -120,7 +140,7 @@ TEST(SessionResetFilter, ThrowsOnUnorderedInput) {
       Announce(200, 0, "10.0.0.0/8", "1 9 3"),
       Announce(100, 0, "11.0.0.0/8", "1 9 4"),
   };
-  EXPECT_THROW((void)FilterSessionResets(rib, updates), std::invalid_argument);
+  EXPECT_THROW((void)Filter(rib, updates), std::invalid_argument);
 }
 
 TEST(SessionResetFilter, StatsAreConsistent) {
@@ -129,7 +149,7 @@ TEST(SessionResetFilter, StatsAreConsistent) {
       Announce(100, 0, "10.0.0.0/8", "1 2 3"),   // dup
       Announce(200, 0, "10.0.0.0/8", "1 9 3"),   // change
   };
-  const auto result = FilterSessionResets(rib, updates);
+  const auto result = Filter(rib, updates);
   EXPECT_EQ(result.stats.input_updates, 2u);
   EXPECT_EQ(result.stats.output_updates, 1u);
   EXPECT_EQ(result.stats.input_updates,

@@ -8,6 +8,7 @@
 #include "bgp/feed.hpp"
 #include "bgp/mrt.hpp"
 #include "bgp/update.hpp"
+#include "support/records.hpp"
 
 namespace quicksand::bgp {
 namespace {
@@ -225,24 +226,26 @@ TEST(Mrt, StreamParserMatchesWholeTextAtEveryChunkBoundary) {
   };
   const std::string text = "# header\n" + mrt::ToText(updates);
   for (std::size_t chunk = 1; chunk <= text.size(); ++chunk) {
-    mrt::StreamParser parser;
-    std::vector<BgpUpdate> out;
+    test_support::RecordBuilder records;
+    mrt::StreamParser parser(records.table());
+    std::vector<feed::UpdateRec> out;
     for (std::size_t pos = 0; pos < text.size(); pos += chunk) {
       parser.Feed(std::string_view(text).substr(pos, chunk), out);
     }
     parser.Finish(out);
-    EXPECT_EQ(out, updates) << "chunk size " << chunk;
+    EXPECT_EQ(records.Updates(out), updates) << "chunk size " << chunk;
   }
 }
 
 TEST(Mrt, StreamParserHandlesMissingTrailingNewline) {
-  mrt::StreamParser parser;
-  std::vector<BgpUpdate> out;
+  test_support::RecordBuilder records;
+  mrt::StreamParser parser(records.table());
+  std::vector<feed::UpdateRec> out;
   parser.Feed("1|0|A|10.0.0.0/8|65001", out);
   EXPECT_TRUE(out.empty());  // still buffered: no newline yet
   parser.Finish(out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], Announce(1, 0, "10.0.0.0/8", "65001"));
+  EXPECT_EQ(records.Updates(out)[0], Announce(1, 0, "10.0.0.0/8", "65001"));
 }
 
 TEST(Mrt, StreamParserLenientStatsMatchWholeTextParse) {
@@ -254,13 +257,14 @@ TEST(Mrt, StreamParserLenientStatsMatchWholeTextParse) {
   const mrt::LenientParse whole = mrt::ParseTextLenient(text);
   mrt::StreamParser::Options options;
   options.lenient = true;
-  mrt::StreamParser parser(options);
-  std::vector<BgpUpdate> out;
+  test_support::RecordBuilder records;
+  mrt::StreamParser parser(records.table(), options);
+  std::vector<feed::UpdateRec> out;
   for (std::size_t pos = 0; pos < text.size(); pos += 5) {
     parser.Feed(std::string_view(text).substr(pos, 5), out);
   }
   parser.Finish(out);
-  EXPECT_EQ(out, whole.updates);
+  EXPECT_EQ(records.Updates(out), whole.updates);
   EXPECT_EQ(parser.stats().total_lines, whole.stats.total_lines);
   EXPECT_EQ(parser.stats().parsed, whole.stats.parsed);
   EXPECT_EQ(parser.stats().bad_lines, whole.stats.bad_lines);
@@ -270,8 +274,9 @@ TEST(Mrt, StreamParserLenientStatsMatchWholeTextParse) {
 TEST(Mrt, StreamParserStrictNamesBadLineAcrossChunks) {
   // A malformed line split across chunks must still raise an error naming
   // the right 1-based line number once the line completes.
-  mrt::StreamParser parser;
-  std::vector<BgpUpdate> out;
+  test_support::RecordBuilder records;
+  mrt::StreamParser parser(records.table());
+  std::vector<feed::UpdateRec> out;
   parser.Feed("1|0|A|10.0.0.0/8|65001\ngarb", out);
   try {
     parser.Feed("age\n", out);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/records.hpp"
+
 namespace quicksand::core {
 namespace {
 
@@ -11,6 +13,12 @@ using bgp::UpdateType;
 using netbase::Ipv4Address;
 using netbase::Prefix;
 using netbase::SimTime;
+
+/// Feeds `update` to `churn` as a record interned into a test-wide table.
+void Consume(bgp::ChurnAnalyzer& churn, const BgpUpdate& update) {
+  static test_support::RecordBuilder records;
+  churn.ConsumeRecord(records.Rec(update), records.table());
+}
 
 /// Consensus with three relays in three distinct prefixes, one unmapped.
 struct Fixture {
@@ -84,10 +92,10 @@ TEST(RelayAdvisor, AlertMeansAvoid) {
 TEST(RelayAdvisor, ChurnyPrefixIsElevated) {
   const Fixture fx;
   bgp::ChurnAnalyzer churn;
-  churn.Consume(Announce(0, 0, "10.2.0.0/16", "1 2 200"));
+  Consume(churn, Announce(0, 0, "10.2.0.0/16", "1 2 200"));
   // Three extra ASes stay on-path for hours: elevation threshold reached.
-  churn.Consume(Announce(1000, 0, "10.2.0.0/16", "1 7 8 9 200"));
-  churn.Consume(Announce(1000 + 7200, 0, "10.2.0.0/16", "1 2 200"));
+  Consume(churn, Announce(1000, 0, "10.2.0.0/16", "1 7 8 9 200"));
+  Consume(churn, Announce(1000 + 7200, 0, "10.2.0.0/16", "1 2 200"));
   churn.Finish();
 
   RelayAdvisor advisor;

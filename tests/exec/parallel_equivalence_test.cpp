@@ -22,6 +22,8 @@
 #include "netbase/rng.hpp"
 #include "tor/consensus_gen.hpp"
 
+#include "support/records.hpp"
+
 namespace quicksand {
 namespace {
 
@@ -135,8 +137,13 @@ TEST_F(EntryPointEquivalenceTest, AnalyzeChurnMatchesTheSerialAnalyzer) {
       bgp::GenerateDynamics(topo_, collectors_, params);
 
   bgp::ChurnAnalyzer serial;
-  serial.ConsumeInitialRib(dyn.initial_rib);
-  for (const bgp::BgpUpdate& update : dyn.updates) serial.Consume(update);
+  test_support::RecordBuilder records;
+  for (const bgp::BgpUpdate& update : dyn.initial_rib) {
+    serial.ConsumeRecord(records.Rec(update), records.table());
+  }
+  for (const bgp::BgpUpdate& update : dyn.updates) {
+    serial.ConsumeRecord(records.Rec(update), records.table());
+  }
   serial.Finish();
 
   const bgp::ChurnAnalyzer parallel =

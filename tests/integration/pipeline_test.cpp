@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include <unordered_set>
 
 #include "bgp/churn.hpp"
@@ -14,7 +16,6 @@
 #include "bgp/session_reset.hpp"
 #include "bgp/topology_gen.hpp"
 #include "bgp/mrt.hpp"
-#include "bgp/rib.hpp"
 #include "core/advisor.hpp"
 #include "core/attack_analysis.hpp"
 #include "core/exposure.hpp"
@@ -23,6 +24,8 @@
 #include "tor/consensus_gen.hpp"
 #include "tor/path_selection.hpp"
 #include "tor/prefix_map.hpp"
+
+#include "support/records.hpp"
 
 namespace quicksand {
 namespace {
@@ -93,15 +96,19 @@ TEST_F(PipelineTest, TorPrefixIdentificationWorksOnGeneratedData) {
 }
 
 TEST_F(PipelineTest, FilterThenChurnProducesTheFigure3Inputs) {
-  const auto filtered =
-      bgp::FilterSessionResets(dynamics_->initial_rib, dynamics_->updates);
+  test_support::RecordBuilder records;
+  const std::vector<bgp::feed::UpdateRec> rib = records.Recs(dynamics_->initial_rib);
+  const bgp::FilteredRecords filtered =
+      bgp::FilterSessionRecords(rib, records.Recs(dynamics_->updates));
   EXPECT_LE(filtered.updates.size(), dynamics_->updates.size());
 
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = 7 * netbase::duration::kDay;
   bgp::ChurnAnalyzer analyzer(churn_params);
-  analyzer.ConsumeInitialRib(dynamics_->initial_rib);
-  for (const bgp::BgpUpdate& update : filtered.updates) analyzer.Consume(update);
+  for (const bgp::feed::UpdateRec& rec : rib) analyzer.ConsumeRecord(rec, records.table());
+  for (const bgp::feed::UpdateRec& rec : filtered.updates) {
+    analyzer.ConsumeRecord(rec, records.table());
+  }
   analyzer.Finish();
 
   // Every session observed something.
@@ -125,7 +132,10 @@ TEST_F(PipelineTest, FilteringReducesArtifactsWithoutLosingRealChanges) {
   no_resets.seed = 407;
   no_resets.session_resets_per_month = 0;
   const auto clean = bgp::GenerateDynamics(*topo_, *collectors_, no_resets);
-  const auto filtered_clean = bgp::FilterSessionResets(clean.initial_rib, clean.updates);
+  test_support::RecordBuilder records;
+  const std::vector<bgp::feed::UpdateRec> rib = records.Recs(clean.initial_rib);
+  const bgp::FilteredRecords filtered_clean =
+      bgp::FilterSessionRecords(rib, records.Recs(clean.updates));
   // On a reset-free stream the filter is (almost) a no-op.
   EXPECT_EQ(filtered_clean.stats.bursts_detected, 0u);
   EXPECT_GT(static_cast<double>(filtered_clean.updates.size()),
@@ -249,20 +259,24 @@ TEST_F(PipelineTest, MrtArchiveRoundTripsTheWholeMonth) {
 TEST_F(PipelineTest, AdvisorPipelineProducesActionableWeights) {
   // Full defender loop: stream -> filter -> churn + monitor -> advisor ->
   // weights that PickGuardSet accepts and that zero out attacked prefixes.
-  const auto filtered =
-      bgp::FilterSessionResets(dynamics_->initial_rib, dynamics_->updates);
+  test_support::RecordBuilder records;
+  const std::vector<bgp::feed::UpdateRec> rib = records.Recs(dynamics_->initial_rib);
+  const bgp::FilteredRecords filtered =
+      bgp::FilterSessionRecords(rib, records.Recs(dynamics_->updates));
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = 7 * netbase::duration::kDay;
   bgp::ChurnAnalyzer churn(churn_params);
-  churn.ConsumeInitialRib(dynamics_->initial_rib);
   const auto tor_prefixes =
       tor::TorPrefixMap::Build(consensus_->consensus, topo_->prefix_origins)
           .TorPrefixes(consensus_->consensus);
   core::RelayMonitor monitor(tor_prefixes);
-  monitor.LearnBaseline(dynamics_->initial_rib);
-  for (const bgp::BgpUpdate& update : filtered.updates) {
-    churn.Consume(update);
-    (void)monitor.Consume(update);
+  for (const bgp::feed::UpdateRec& rec : rib) {
+    churn.ConsumeRecord(rec, records.table());
+    monitor.LearnRecord(rec, records.table());
+  }
+  for (const bgp::feed::UpdateRec& rec : filtered.updates) {
+    churn.ConsumeRecord(rec, records.table());
+    (void)monitor.ConsumeRecord(rec, records.table());
   }
   churn.Finish();
   // Inject one hijack against a monitored prefix.
@@ -304,23 +318,35 @@ TEST_F(PipelineTest, AdvisorPipelineProducesActionableWeights) {
 }
 
 TEST_F(PipelineTest, RibReplayAgreesWithChurnVisibility) {
-  // Reconstructed per-session tables after the full month agree with the
-  // churn analyzer on which (session, prefix) pairs were ever observed.
-  bgp::RibSet ribs(collectors_->SessionCount());
-  ribs.ApplyAll(dynamics_->initial_rib);
-  ribs.ApplyAll(dynamics_->updates);
+  // Per-session tables replayed over the full month agree with the churn
+  // analyzer on which (session, prefix) pairs were ever observed, and on
+  // which ASes are on-path right now.
+  std::map<bgp::SessionPrefixKey, bgp::AsPath> tables;
   bgp::ChurnAnalyzer churn;
-  churn.ConsumeInitialRib(dynamics_->initial_rib);
-  for (const bgp::BgpUpdate& update : dynamics_->updates) churn.Consume(update);
-  churn.Finish();
-  // Every prefix currently in a session's RIB must have been observed by
-  // the churn analyzer on that session.
-  for (bgp::SessionId s = 0; s < collectors_->SessionCount(); ++s) {
-    for (const netbase::Prefix& prefix : ribs.Of(s).Prefixes()) {
-      EXPECT_TRUE(churn.entries().contains(bgp::SessionPrefixKey{s, prefix}))
-          << "session " << s << " holds " << prefix.ToString()
-          << " that churn never saw";
+  test_support::RecordBuilder records;
+  for (const auto* feed : {&dynamics_->initial_rib, &dynamics_->updates}) {
+    for (const bgp::BgpUpdate& update : *feed) {
+      const bgp::SessionPrefixKey key{update.session, update.prefix};
+      if (update.type == bgp::UpdateType::kAnnounce) {
+        tables[key] = update.path;
+      } else {
+        tables.erase(key);
+      }
+      churn.ConsumeRecord(records.Rec(update), records.table());
     }
+  }
+  // Every (session, prefix) still announced is on-path per the live query.
+  for (const auto& [key, path] : tables) {
+    EXPECT_TRUE(churn.IsOnPath(path.origin(), key.prefix)) << key.prefix.ToString();
+  }
+  churn.Finish();
+  // Every prefix currently in a session's table must have been observed by
+  // the churn analyzer on that session.
+  ASSERT_FALSE(tables.empty());
+  for (const auto& [key, path] : tables) {
+    EXPECT_TRUE(churn.entries().contains(key))
+        << "session " << key.session << " holds " << key.prefix.ToString()
+        << " that churn never saw";
   }
 }
 
